@@ -19,6 +19,16 @@ class CircuitError(ValueError):
 
 
 class GateKind(Enum):
+    """Gate kinds and their semantics, defined once by `_SEMANTICS` below.
+
+    Each kind is a reduction over its inputs -- 'and', 'or' or 'xor', where
+    'and' over no inputs is 1 -- followed by an optional output inversion.
+    n-ary XNOR is the left fold of binary XNOR, i.e. parity inverted exactly
+    when the fan-in is even.  The constants are 'and' over zero inputs.  The
+    relaxed model, the oracle, the Tseytin encoder and the BLIF covers all
+    read this table.
+    """
+
     NOT = "NOT"
     BUF = "BUF"
     AND = "AND"
@@ -33,14 +43,47 @@ class GateKind(Enum):
 
     @property
     def is_const(self) -> bool:
-        return self in (GateKind.CONST0, GateKind.CONST1)
+        return self.arity_ok(0)
+
+    @property
+    def reduction(self) -> str:
+        """'and', 'or' or 'xor'."""
+        return _SEMANTICS[self][0]
+
+    def inverted(self, fan_in: int) -> bool:
+        """Whether the output is the negated reduction at this fan-in."""
+        if self is GateKind.XNOR:
+            return fan_in % 2 == 0
+        return _SEMANTICS[self][1]
 
     def arity_ok(self, n: int) -> bool:
-        if self.is_const:
-            return n == 0
-        if self in (GateKind.NOT, GateKind.BUF):
-            return n == 1
-        return n >= 2
+        _, _, lo, hi = _SEMANTICS[self]
+        return lo <= n and (hi is None or n <= hi)
+
+    def truth(self, bits) -> int:
+        """Output bit for a sequence of input bits."""
+        bits = [int(b) for b in bits]
+        op = self.reduction
+        out = all(bits) if op == "and" else any(bits) if op == "or" else sum(bits) % 2
+        return int(out) ^ self.inverted(len(bits))
+
+
+# kind -> (reduction, inverted, min fan-in, max fan-in or None).  XNOR's
+# inversion depends on the fan-in; see GateKind.inverted.
+_SEMANTICS = {
+    GateKind.NOT: ("and", True, 1, 1),
+    GateKind.BUF: ("and", False, 1, 1),
+    GateKind.AND: ("and", False, 2, None),
+    GateKind.OR: ("or", False, 2, None),
+    GateKind.NAND: ("and", True, 2, None),
+    GateKind.NOR: ("or", True, 2, None),
+    GateKind.XOR: ("xor", False, 2, None),
+    GateKind.XNOR: ("xor", None, 2, None),
+    GateKind.CONST0: ("and", True, 0, 0),
+    GateKind.CONST1: ("and", False, 0, 0),
+}
+
+_REDUCE = {"and": np.logical_and, "or": np.logical_or, "xor": np.logical_xor}
 
 
 @dataclass(frozen=True)
@@ -226,8 +269,12 @@ class Circuit:
     # -- discrete oracle --------------------------------------------------
 
     def eval_discrete(self, assignment: dict[str, int]) -> dict[str, int]:
-        """Exact Boolean simulation; `assignment` maps input name -> bit."""
-        values: dict[int, int] = {}
+        """Exact Boolean simulation of one assignment (input name -> bit).
+
+        A one-row `eval_batch`; returns the bit of every primary input and
+        gate output, by name.
+        """
+        row = []
         for net in self.primary_inputs:
             name = self.names[net]
             if name not in assignment:
@@ -235,11 +282,10 @@ class Circuit:
             bit = int(assignment[name])
             if bit not in (0, 1):
                 raise CircuitError(f"input '{name}' must be 0 or 1, got {assignment[name]!r}")
-            values[net] = bit
-        for gi in self.topo_order():
-            g = self.gates[gi]
-            values[g.output] = _eval_gate(g.kind, [values[n] for n in g.inputs])
-        return {self.names[net]: bit for net, bit in values.items()}
+            row.append(bit)
+        nets = self.primary_inputs + [self.gates[gi].output for gi in self.topo_order()]
+        bits = self.eval_batch(np.array([row], dtype=np.uint8), nets=nets)[0]
+        return {self.names[net]: int(bit) for net, bit in zip(nets, bits)}
 
     def eval_batch(self, inputs: np.ndarray, nets: list[int] | None = None) -> np.ndarray:
         """Vectorized discrete simulation of a (b, n) 0/1 matrix.
@@ -258,7 +304,9 @@ class Circuit:
             vals[net] = inputs[:, col].astype(bool)
         for gi in self.topo_order():
             g = self.gates[gi]
-            vals[g.output] = _eval_gate_batch(g.kind, [vals[n] for n in g.inputs], b)
+            rows = [vals[n] for n in g.inputs]
+            value = _REDUCE[g.kind.reduction].reduce(rows) if rows else np.ones(b, dtype=bool)
+            vals[g.output] = ~value if g.kind.inverted(len(rows)) else value
         if nets is None:
             nets = self.primary_outputs
         out = np.empty((b, len(nets)), dtype=np.uint8)
@@ -286,60 +334,3 @@ class Circuit:
                 stack.extend(self.gates[gi].inputs)
         return cone
 
-
-def _eval_gate(kind: GateKind, bits: list[int]) -> int:
-    if kind is GateKind.NOT:
-        return 1 - bits[0]
-    if kind is GateKind.BUF:
-        return bits[0]
-    if kind is GateKind.AND:
-        return int(all(bits))
-    if kind is GateKind.OR:
-        return int(any(bits))
-    if kind is GateKind.NAND:
-        return 1 - int(all(bits))
-    if kind is GateKind.NOR:
-        return 1 - int(any(bits))
-    if kind is GateKind.XOR:
-        acc = bits[0]
-        for b in bits[1:]:
-            acc ^= b
-        return acc
-    if kind is GateKind.XNOR:
-        # Left fold of binary XNOR (matches the relaxed model's fold).
-        acc = bits[0]
-        for b in bits[1:]:
-            acc = 1 - (acc ^ b)
-        return acc
-    if kind is GateKind.CONST0:
-        return 0
-    if kind is GateKind.CONST1:
-        return 1
-    raise CircuitError(f"unknown gate kind {kind}")
-
-
-def _eval_gate_batch(kind: GateKind, rows: list[np.ndarray], b: int) -> np.ndarray:
-    if kind is GateKind.NOT:
-        return ~rows[0]
-    if kind is GateKind.BUF:
-        return rows[0]
-    if kind is GateKind.AND:
-        return np.logical_and.reduce(rows)
-    if kind is GateKind.OR:
-        return np.logical_or.reduce(rows)
-    if kind is GateKind.NAND:
-        return ~np.logical_and.reduce(rows)
-    if kind is GateKind.NOR:
-        return ~np.logical_or.reduce(rows)
-    if kind is GateKind.XOR:
-        return np.logical_xor.reduce(rows)
-    if kind is GateKind.XNOR:
-        acc = rows[0]
-        for r in rows[1:]:
-            acc = ~(acc ^ r)
-        return acc
-    if kind is GateKind.CONST0:
-        return np.zeros(b, dtype=bool)
-    if kind is GateKind.CONST1:
-        return np.ones(b, dtype=bool)
-    raise CircuitError(f"unknown gate kind {kind}")

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import Circuit, CircuitError, ConstraintSet
 from .cnf import tseytin_encode, write_dimacs
 from .parsers import ParseError, parse_constraints, parse_file
@@ -104,7 +106,11 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     t0 = time.perf_counter()
-    result = run_sampling(circuit, constraints, config)
+    try:
+        result = run_sampling(circuit, constraints, config)
+    except CircuitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     wall_ms = (time.perf_counter() - t0) * 1000.0
     Path(args.out).write_text(_solutions_text(result, args.emit_all_inputs))
     report = _report(result, config, args.circuit, args.constraints, wall_ms)
@@ -127,33 +133,48 @@ def cmd_verify(args) -> int:
         print("warning: empty solutions file; nothing to verify", file=sys.stderr)
         return EXIT_OK
     header = [name.strip() for name in lines[0].split(",")]
-    input_names = {circuit.name(n) for n in circuit.primary_inputs}
-    for name in header:
-        if name not in input_names:
+    input_cols = {circuit.name(n): col for col, n in enumerate(circuit.primary_inputs)}
+    for k, name in enumerate(header):
+        if name not in input_cols:
             print(f"error: header column '{name}' is not a primary input", file=sys.stderr)
             return EXIT_INPUT
+        if name in header[:k]:
+            print(f"error: duplicate header column '{name}'", file=sys.stderr)
+            return EXIT_INPUT
+    cone = circuit.support_cone(constraints)
+    missing = [circuit.name(n) for n in circuit.primary_inputs
+               if n in cone and circuit.name(n) not in header]
+    if missing:
+        cols = ", ".join(f"'{name}'" for name in missing)
+        print(f"error: header lacks support-cone input column(s) {cols}", file=sys.stderr)
+        return EXIT_INPUT
     rows = lines[1:]
     if not rows:
         print("warning: empty solutions file; nothing to verify", file=sys.stderr)
         return EXIT_OK
-    pin_names = {circuit.name(net): bit for net, bit in constraints.pins.items()}
-    for lineno, row in enumerate(rows, start=2):
+    # Inputs outside the support cone cannot affect the pinned nets; fill them with 0.
+    bits = np.zeros((len(rows), circuit.num_inputs), dtype=np.uint8)
+    cols = [input_cols[name] for name in header]
+    for k, row in enumerate(rows):
         row = row.strip()
         if len(row) != len(header) or set(row) - {"0", "1"}:
             print(
-                f"error: line {lineno}: expected {len(header)} bits, got '{row}'",
+                f"error: line {k + 2}: expected {len(header)} bits, got '{row}'",
                 file=sys.stderr,
             )
             return EXIT_INPUT
-        assignment = {name: int(bit) for name, bit in zip(header, row)}
-        for name in input_names - set(header):
-            assignment[name] = 0  # don't-care fill; cannot affect pinned nets
-        values = circuit.eval_discrete(assignment)
-        bad = {n: values[n] for n, t in pin_names.items() if values[n] != t}
-        if bad:
-            print(f"verification failed at line {lineno}: row '{row}' gives {bad}")
-            return EXIT_VERIFY
-    print(f"verified {len(rows)} rows against {len(pin_names)} pins")
+        bits[k, cols] = [int(bit) for bit in row]
+    pin_nets = list(constraints.pins)
+    want = np.array([constraints.pins[n] for n in pin_nets], dtype=np.uint8)
+    got = circuit.eval_batch(bits, nets=pin_nets)
+    failing = np.flatnonzero(np.any(got != want, axis=1))
+    if failing.size:
+        k = failing[0]
+        bad = {circuit.name(n): int(got[k, j])
+               for j, n in enumerate(pin_nets) if got[k, j] != want[j]}
+        print(f"verification failed at line {k + 2}: row '{rows[k].strip()}' gives {bad}")
+        return EXIT_VERIFY
+    print(f"verified {len(rows)} rows against {len(pin_nets)} pins")
     return EXIT_OK
 
 

@@ -2,16 +2,18 @@
 
 One variable per net, full biconditional encoding (both implication
 directions), so models of the CNF projected onto the primary-input variables
-are exactly the circuit's satisfying assignments.  XOR/XNOR with fan-in > 2
-are chained through auxiliary variables, four clauses per binary stage,
-matching the left-fold semantics of the simulator.
+are exactly the circuit's satisfying assignments.  Each gate is encoded from
+the semantics table of `GateKind`: an inverted gate negates its output
+literal, an 'or' reduction is an 'and' over negated literals with the output
+negated once more (De Morgan), and an 'xor' reduction with fan-in > 2 is a
+chain of binary XOR stages through auxiliary variables, four clauses each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, CircuitError, ConstraintSet, GateKind
+from .circuit import Circuit, CircuitError, ConstraintSet
 
 
 @dataclass
@@ -26,10 +28,6 @@ def _binary_xor_clauses(a: int, b: int, y: int) -> list[list[int]]:
     return [[-a, -b, -y], [a, b, -y], [a, -b, y], [-a, b, y]]
 
 
-def _binary_xnor_clauses(a: int, b: int, y: int) -> list[list[int]]:
-    return [[-a, -b, y], [a, b, y], [a, -b, -y], [-a, b, -y]]
-
-
 def tseytin_encode(circuit: Circuit, constraints: ConstraintSet | None = None) -> CnfFormula:
     diags = circuit.validate()
     if diags:
@@ -42,39 +40,21 @@ def tseytin_encode(circuit: Circuit, constraints: ConstraintSet | None = None) -
         g = circuit.gates[gi]
         y = var_map[g.output]
         xs = [var_map[n] for n in g.inputs]
-        kind = g.kind
-        if kind is GateKind.CONST0:
-            clauses.append([-y])
-        elif kind is GateKind.CONST1:
-            clauses.append([y])
-        elif kind is GateKind.NOT:
-            clauses += [[xs[0], y], [-xs[0], -y]]
-        elif kind is GateKind.BUF:
-            clauses += [[-xs[0], y], [xs[0], -y]]
-        elif kind is GateKind.AND:
+        op = g.kind.reduction
+        if op == "or":  # OR(xs) = NOT AND(NOT xs)
+            xs = [-x for x in xs]
+        if g.kind.inverted(len(xs)) != (op == "or"):
+            y = -y
+        if op != "xor":  # y <-> AND(xs)
             clauses += [[-y, x] for x in xs]
             clauses.append([y] + [-x for x in xs])
-        elif kind is GateKind.NAND:
-            clauses += [[y, x] for x in xs]
-            clauses.append([-y] + [-x for x in xs])
-        elif kind is GateKind.OR:
-            clauses += [[y, -x] for x in xs]
-            clauses.append([-y] + xs)
-        elif kind is GateKind.NOR:
-            clauses += [[-y, -x] for x in xs]
-            clauses.append([y] + xs)
-        elif kind in (GateKind.XOR, GateKind.XNOR):
-            stage = _binary_xor_clauses if kind is GateKind.XOR else _binary_xnor_clauses
-            acc = xs[0]
-            for i, x in enumerate(xs[1:]):
-                last = i == len(xs) - 2
-                out = y if last else next_var
-                if not last:
-                    next_var += 1
-                clauses += stage(acc, x, out)
-                acc = out
-        else:
-            raise CircuitError(f"cannot encode gate kind {kind}")
+            continue
+        acc = xs[0]
+        for x in xs[1:-1]:
+            clauses += _binary_xor_clauses(acc, x, next_var)
+            acc = next_var
+            next_var += 1
+        clauses += _binary_xor_clauses(acc, xs[-1], y)
 
     comments = [
         f"input {circuit.name(net)} {var_map[net]}" for net in circuit.primary_inputs

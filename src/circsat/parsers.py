@@ -178,18 +178,10 @@ def parse_verilog(text: str) -> Circuit:
 
 def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int) -> GateKind:
     """Canonicalize a single-output cover by truth-table matching."""
-    if fan_in == 0:
-        if not lines:
-            return GateKind.CONST0
-        if all(out == "1" and pat == "" for pat, out in lines):
-            return GateKind.CONST1
-        if all(out == "0" and pat == "" for pat, out in lines):
-            return GateKind.CONST0
-        raise ParseError("unsupported constant cover")
     out_vals = {out for _, out in lines}
     if len(out_vals) > 1:
         raise ParseError("cover mixes output values 0 and 1")
-    listed = out_vals.pop() if out_vals else "1"
+    listed = int(out_vals.pop()) if out_vals else 1
 
     def covered(bits: tuple[int, ...]) -> bool:
         for pat, _ in lines:
@@ -197,21 +189,10 @@ def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int) -> GateKind:
                 return True
         return False
 
-    table = []
-    for bits in itertools.product((0, 1), repeat=fan_in):
-        val = int(listed) if covered(bits) else 1 - int(listed)
-        table.append(val)
-
-    from .circuit import _eval_gate  # truth-table reference for each kind
-
-    candidates = [GateKind.NOT, GateKind.BUF] if fan_in == 1 else [
-        GateKind.AND, GateKind.OR, GateKind.NAND, GateKind.NOR, GateKind.XOR, GateKind.XNOR,
-    ]
-    for kind in candidates:
-        ref = [
-            _eval_gate(kind, list(bits)) for bits in itertools.product((0, 1), repeat=fan_in)
-        ]
-        if ref == table:
+    points = list(itertools.product((0, 1), repeat=fan_in))
+    table = [listed if covered(bits) else 1 - listed for bits in points]
+    for kind in GateKind:
+        if kind.arity_ok(fan_in) and [kind.truth(bits) for bits in points] == table:
             return kind
     raise ParseError(
         f"unsupported cover: {fan_in}-input truth table matches no supported gate"
@@ -403,12 +384,6 @@ def to_bench(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BLIF_COVERS = {
-    GateKind.NOT: [("0", "1")],
-    GateKind.BUF: [("1", "1")],
-}
-
-
 def to_blif(circuit: Circuit, model_name: str = "top") -> str:
     lines = [f".model {model_name}"]
     lines.append(".inputs " + " ".join(circuit.name(n) for n in circuit.primary_inputs))
@@ -418,26 +393,12 @@ def to_blif(circuit: Circuit, model_name: str = "top") -> str:
         sig = " ".join(circuit.name(n) for n in g.inputs) + (" " if g.inputs else "")
         lines.append(f".names {sig}{circuit.name(g.output)}")
         f = len(g.inputs)
-        if g.kind is GateKind.CONST1:
-            lines.append("1")
-        elif g.kind is GateKind.CONST0:
-            pass  # empty cover = constant 0
-        elif g.kind in _BLIF_COVERS:
-            lines += [f"{p} {o}" for p, o in _BLIF_COVERS[g.kind]]
-        elif g.kind is GateKind.AND:
-            lines.append("1" * f + " 1")
-        elif g.kind is GateKind.NAND:
-            lines.append("1" * f + " 0")
-        elif g.kind is GateKind.OR:
-            lines += [("-" * i + "1" + "-" * (f - i - 1)) + " 1" for i in range(f)]
-        elif g.kind is GateKind.NOR:
-            lines.append("0" * f + " 1")
-        else:  # XOR / XNOR: enumerate the on-set
-            from .circuit import _eval_gate
-
-            for bits in itertools.product((0, 1), repeat=f):
-                if _eval_gate(g.kind, list(bits)) == 1:
-                    lines.append("".join(map(str, bits)) + " 1")
+        if g.kind.reduction == "xor":  # enumerate the on-set
+            cubes = [bits for bits in itertools.product((0, 1), repeat=f) if g.kind.truth(bits)]
+        else:  # all ones decides an 'and', all zeros an 'or'
+            cubes = [(int(g.kind.reduction == "and"),) * f]
+        for cube in cubes:
+            lines.append(f"{''.join(map(str, cube))} {g.kind.truth(cube)}".lstrip())
     lines.append(".end")
     return "\n".join(lines) + "\n"
 

@@ -1,10 +1,12 @@
 """Batched differentiable circuit evaluation.
 
-Each gate's output probability and its derivatives follow the standard
-probability model of logic gates (the same algebra used in stochastic
-computing and switching-activity estimation).  Multi-input XOR/XNOR are the
-left fold of the binary formula, which in closed form is a parity polynomial
-in q_i = 1 - 2*p_i.
+Each gate is relaxed with the standard probability model of logic gates (the
+same algebra used in stochastic computing and switching-activity
+estimation), read off the semantics table of `GateKind`: the reduction is the
+product c of one factor per input -- p for 'and', 1 - p for 'or' and 1 - 2p
+for 'xor' -- mapped to the probability that the gate outputs 1.  The
+derivative with respect to one input is the product of the other inputs'
+factors, negated when the gate inverts its reduction.
 
 The forward pass records every net's probability row in a tape
 (structure-of-arrays over the batch); the backward pass accumulates seed
@@ -21,48 +23,33 @@ import numpy as np
 
 from .circuit import Circuit, CircuitError, GateKind
 
-
-def _prob(kind: GateKind, rows: list[np.ndarray]) -> np.ndarray:
-    if kind is GateKind.NOT:
-        return 1.0 - rows[0]
-    if kind is GateKind.BUF:
-        return rows[0]
-    if kind is GateKind.AND:
-        out = rows[0].copy()
-        for r in rows[1:]:
-            out *= r
-        return out
-    if kind is GateKind.NAND:
-        out = rows[0].copy()
-        for r in rows[1:]:
-            out *= r
-        return 1.0 - out
-    if kind is GateKind.OR:
-        out = 1.0 - rows[0]
-        for r in rows[1:]:
-            out *= 1.0 - r
-        return 1.0 - out
-    if kind is GateKind.NOR:
-        out = 1.0 - rows[0]
-        for r in rows[1:]:
-            out *= 1.0 - r
-        return out
-    if kind is GateKind.XOR:
-        # Fold of p1 (1-p2) + (1-p1) p2, i.e. (1 - prod(1-2p_i)) / 2.
-        out = rows[0]
-        for r in rows[1:]:
-            out = out * (1.0 - r) + (1.0 - out) * r
-        return out
-    if kind is GateKind.XNOR:
-        out = rows[0]
-        for r in rows[1:]:
-            out = out * r + (1.0 - out) * (1.0 - r)
-        return out
-    raise CircuitError(f"no probability model for gate kind {kind}")
+# reduction -> (factor of one input, P(out = 1) and P(out = 0) from the product
+# c of the factors).  c is P(all inputs 1) for 'and', P(all inputs 0) for 'or'
+# and the parity bias P(even) - P(odd) for 'xor'.
+_RELAXED = {
+    "and": (lambda p: p, lambda c: c, lambda c: 1.0 - c),
+    "or": (lambda p: 1.0 - p, lambda c: 1.0 - c, lambda c: c),
+    "xor": (lambda p: 1.0 - 2.0 * p, lambda c: 0.5 - 0.5 * c, lambda c: 0.5 + 0.5 * c),
+}
 
 
-def _const_row(kind: GateKind, b: int) -> np.ndarray:
-    return np.full(b, 0.0 if kind is GateKind.CONST0 else 1.0)
+def _relaxed(kind: GateKind, rows: list[np.ndarray], shape) -> np.ndarray:
+    """Output probability of one gate, as a new array of `shape`."""
+    factor, one, zero = _RELAXED[kind.reduction]
+    c = np.ones(shape)
+    for r in rows:
+        c *= factor(r)
+    return zero(c) if kind.inverted(len(rows)) else one(c)
+
+
+def _derivative(kind: GateKind, rows: list[np.ndarray], i: int) -> np.ndarray:
+    """d(output prob)/d(input prob i): ± the product of the other factors."""
+    factor = _RELAXED[kind.reduction][0]
+    out = np.ones_like(rows[0])
+    for j, r in enumerate(rows):
+        if j != i:
+            out *= factor(r)
+    return -out if kind.inverted(len(rows)) else out
 
 
 def gate_prob(kind: GateKind, input_probs) -> float:
@@ -73,38 +60,8 @@ def gate_prob(kind: GateKind, input_probs) -> float:
     for p in probs:
         if not 0.0 <= p <= 1.0:
             raise CircuitError(f"input probability {p} outside [0, 1]")
-    if kind.is_const:
-        return 0.0 if kind is GateKind.CONST0 else 1.0
     rows = [np.asarray(p, dtype=float) for p in probs]
-    return float(np.clip(_prob(kind, rows), 0.0, 1.0))
-
-
-def _grad_rows(kind: GateKind, rows: list[np.ndarray], i: int) -> np.ndarray:
-    """d(output prob)/d(input prob i) as a batch row."""
-    f = len(rows)
-    if kind is GateKind.NOT:
-        return np.full_like(rows[0], -1.0)
-    if kind is GateKind.BUF:
-        return np.ones_like(rows[0])
-    others = [rows[j] for j in range(f) if j != i]
-    if kind is GateKind.AND or kind is GateKind.NAND:
-        out = np.ones_like(rows[0])
-        for r in others:
-            out *= r
-        return out if kind is GateKind.AND else -out
-    if kind is GateKind.OR or kind is GateKind.NOR:
-        out = np.ones_like(rows[0])
-        for r in others:
-            out *= 1.0 - r
-        return out if kind is GateKind.OR else -out
-    if kind is GateKind.XOR or kind is GateKind.XNOR:
-        out = np.ones_like(rows[0])
-        for r in others:
-            out *= 1.0 - 2.0 * r
-        if kind is GateKind.XNOR and f % 2 == 0:
-            out = -out
-        return out
-    raise CircuitError(f"no derivative model for gate kind {kind}")
+    return float(np.clip(_relaxed(kind, rows, ()), 0.0, 1.0))
 
 
 def gate_grad(kind: GateKind, input_probs, input_index: int) -> float:
@@ -115,7 +72,7 @@ def gate_grad(kind: GateKind, input_probs, input_index: int) -> float:
     if not 0 <= input_index < len(probs):
         raise CircuitError(f"input index {input_index} out of range for {len(probs)} inputs")
     rows = [np.asarray(p, dtype=float) for p in probs]
-    return float(_grad_rows(kind, rows, input_index))
+    return float(_derivative(kind, rows, input_index))
 
 
 @dataclass
@@ -158,12 +115,8 @@ def forward(circuit: Circuit, input_probs: np.ndarray) -> ProbTape:
         values[net] = input_probs[:, col]
     for gi in circuit.topo_order():
         g = circuit.gates[gi]
-        if g.kind.is_const:
-            values[g.output] = _const_row(g.kind, b)
-        else:
-            row = _prob(g.kind, [values[n] for n in g.inputs])
-            np.clip(row, 0.0, 1.0, out=row)
-            values[g.output] = row
+        row = _relaxed(g.kind, [values[n] for n in g.inputs], b)
+        np.clip(row, 0.0, 1.0, out=values[g.output])
     return ProbTape(circuit, values)
 
 
@@ -183,12 +136,12 @@ def backward(circuit: Circuit, tape: ProbTape, seeds: dict[int, np.ndarray]) -> 
         touched[net] = True
     for gi in reversed(circuit.topo_order()):
         g = circuit.gates[gi]
-        if not touched[g.output] or g.kind.is_const:
+        if not touched[g.output]:
             continue
         rows = [tape.values[n] for n in g.inputs]
         out_adj = adj[g.output]
         for i, net in enumerate(g.inputs):
-            adj[net] += out_adj * _grad_rows(g.kind, rows, i)
+            adj[net] += out_adj * _derivative(g.kind, rows, i)
             touched[net] = True
     grads = np.zeros((b, circuit.num_inputs))
     for col, net in enumerate(circuit.primary_inputs):

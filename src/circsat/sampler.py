@@ -48,6 +48,8 @@ class SamplerConfig:
             raise ValueError("iterations must be positive")
         if self.init_range <= 0:
             raise ValueError("init_range must be positive")
+        if self.threads < 0:
+            raise ValueError("threads must be 0 (one per CPU) or positive")
         if self.dedup_scope not in (DEDUP_CONE, DEDUP_ALL):
             raise ValueError(f"dedup_scope must be '{DEDUP_CONE}' or '{DEDUP_ALL}'")
 
@@ -191,7 +193,7 @@ def _process_chunk(
     """One GD step on a V chunk (updated in place); returns (satisfied hard rows, loss sum)."""
     emb = EmbeddingMatrix(V=V, cone_mask=mask)
     loss, grad = loss_and_grad(circuit, emb, constraints)
-    V[:, mask] -= config.learning_rate * grad[:, mask]
+    V[:] = gd_step(emb, grad, config.learning_rate).V
     hard = harden(V)
     got = circuit.eval_batch(hard, nets=pin_nets)
     ok = np.all(got == pin_bits, axis=1)

@@ -26,6 +26,21 @@ def c15(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def and_not(tmp_path):
+    """z = AND(a, NOT b) with z pinned to 1: the only solution is a=1, b=0."""
+    (tmp_path / "and_not.bench").write_text(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nnb = NOT(b)\nz = AND(a, nb)\n"
+    )
+    (tmp_path / "z1.txt").write_text("z 1\n")
+    return tmp_path
+
+
+def verify(d, circuit, pins, solutions):
+    return run("verify", "--circuit", str(d / circuit), "--constraints", str(d / pins),
+               "--solutions", str(d / solutions))
+
+
 def sample_args(d, circuit, pins, **over):
     args = {
         "--circuit": str(d / circuit),
@@ -74,6 +89,18 @@ class TestSample:
         one = (c15 / "solutions.txt").read_bytes()
         assert run(*sample_args(c15, "c15.v", "g19.txt", **base, **{"--threads": "8"})) == 0
         assert (c15 / "solutions.txt").read_bytes() == one
+
+    def test_pin_on_constant_net_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "const.blif").write_text(
+            ".model t\n.inputs a\n.outputs y\n.names y\n1\n.end\n"
+        )
+        (tmp_path / "y1.txt").write_text("y 1\n")
+        assert run(*sample_args(tmp_path, "const.blif", "y1.txt")) == 2
+        assert "error: constraint cone contains no primary inputs" in capsys.readouterr().err
+
+    def test_negative_threads_is_input_error(self, c17, capsys):
+        assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{"--threads": "-3"})) == 2
+        assert "threads" in capsys.readouterr().err
 
     def test_emit_all_inputs_header(self, c15):
         argv = sample_args(c15, "c15.v", "g19.txt", **{"--batch": "500", "--iters": "2"})
@@ -132,6 +159,23 @@ class TestVerify:
             "--constraints", str(c15 / "g19.txt"),
             "--solutions", str(c15 / "short.txt"),
         ) == 2
+
+
+    def test_header_missing_cone_input_is_input_error(self, and_not, capsys):
+        # Filling the missing b with 0 would make the row pass.
+        (and_not / "sol.txt").write_text("a\n1\n")
+        assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 2
+        assert "'b'" in capsys.readouterr().err
+
+    def test_duplicate_header_column_is_input_error(self, and_not, capsys):
+        (and_not / "sol.txt").write_text("a,a,b\n010\n")
+        assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 2
+        assert "duplicate header column 'a'" in capsys.readouterr().err
+
+    def test_reports_first_failing_line(self, and_not, capsys):
+        (and_not / "sol.txt").write_text("b,a\n01\n11\n00\n")
+        assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 3
+        assert "line 3: row '11' gives {'z': 0}" in capsys.readouterr().out
 
 
 class TestExportCnf:

@@ -9,6 +9,7 @@ from circsat import (
     Gate,
     GateKind,
     SamplerConfig,
+    forward,
     parse_dimacs,
     run_sampling,
     tseytin_encode,
@@ -16,7 +17,7 @@ from circsat import (
 )
 
 from dpll import all_models
-from helpers import brute_force_solutions, load, random_circuit
+from helpers import brute_force_solutions, load, naive_eval, random_circuit
 
 
 def cnf_input_projections(circuit, cnf):
@@ -50,8 +51,10 @@ class TestTseytinEncode:
         assert cnf_input_projections(c, cnf) == {(0,)}
 
     def test_gate_clause_counts(self):
-        # NOT: 2; fan-in f AND/OR/NAND/NOR: f+1; XOR chain: 4 per stage.
+        # Constants: 1; NOT: 2; fan-in f AND/OR/NAND/NOR: f+1; XOR chain: 4 per stage.
         cases = [
+            (GateKind.CONST0, 0, 1),
+            (GateKind.CONST1, 0, 1),
             (GateKind.NOT, 1, 2),
             (GateKind.BUF, 1, 2),
             (GateKind.AND, 4, 5),
@@ -59,6 +62,7 @@ class TestTseytinEncode:
             (GateKind.XOR, 2, 4),
             (GateKind.XOR, 4, 12),
             (GateKind.XNOR, 3, 8),
+            (GateKind.XNOR, 4, 12),
         ]
         for kind, f, want in cases:
             names = [f"i{k}" for k in range(f)] + ["y"]
@@ -109,6 +113,30 @@ class TestTseytinEncode:
         a = tseytin_encode(c, cs)
         b = tseytin_encode(c, cs)
         assert a.var_count == b.var_count and a.clauses == b.clauses
+
+
+ONE_GATE_CASES = [
+    (kind, f) for kind in GateKind for f in range(5) if kind.arity_ok(f)
+]
+
+
+@pytest.mark.parametrize(
+    "kind,fan_in", ONE_GATE_CASES, ids=[f"{k.value}-{f}" for k, f in ONE_GATE_CASES]
+)
+def test_one_gate_evaluators_agree(kind, fan_in):
+    """CNF, relaxed forward, oracle and the naive reference agree on one gate."""
+    names = [f"i{k}" for k in range(fan_in)] + ["y"]
+    gate = Gate(kind, tuple(range(fan_in)), fan_in)
+    c = Circuit(names, list(range(fan_in)), [fan_in], [gate])
+    for bit in (0, 1):
+        cs = ConstraintSet({fan_in: bit})
+        assert cnf_input_projections(c, tseytin_encode(c, cs)) == brute_force_solutions(c, cs)
+    points = np.array(list(itertools.product((0, 1), repeat=fan_in)), dtype=np.uint8)
+    points = points.reshape(2**fan_in, fan_in)
+    reference = [naive_eval(c, dict(zip(names, row)))["y"] for row in points.tolist()]
+    assert [kind.truth(row) for row in points] == reference
+    assert c.eval_batch(points)[:, 0].tolist() == reference
+    assert forward(c, points.astype(float)).by_name("y").tolist() == reference
 
 
 class TestWriteDimacs:

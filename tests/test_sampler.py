@@ -285,3 +285,5 @@ def test_config_validation():
         SamplerConfig(batch_size=4, learning_rate=-1)
     with pytest.raises(ValueError):
         SamplerConfig(batch_size=4, dedup_scope="weird")
+    with pytest.raises(ValueError):
+        SamplerConfig(batch_size=4, threads=-3)
