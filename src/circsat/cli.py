@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, ConstraintSet
+from .circuit import CircuitError
 from .cnf import tseytin_encode, write_dimacs
 from .parsers import ParseError, parse_constraints, parse_file
 from .sampler import SamplerConfig, SolutionSet, run_sampling
@@ -25,14 +25,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_BENCH_PARTIAL = 4
-
-
-def _load_circuit(path: str, fmt: str | None) -> Circuit:
-    return parse_file(path, fmt)
-
-
-def _load_constraints(path: str, circuit: Circuit) -> ConstraintSet:
-    return parse_constraints(Path(path).read_text(), circuit)
 
 
 def _config_from_args(args) -> SamplerConfig:
@@ -56,8 +48,7 @@ def _solutions_text(result: SolutionSet, emit_all_inputs: bool) -> str:
     else:
         header = ",".join(result.input_names)
         rows = result.cone_rows()
-    lines = [header]
-    lines += ["".join(str(int(b)) for b in row) for row in rows]
+    lines = [header] + [row.tobytes().decode() for row in rows + ord("0")]
     return "\n".join(lines) + "\n"
 
 
@@ -99,8 +90,8 @@ def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
 
 def cmd_sample(args) -> int:
     try:
-        circuit = _load_circuit(args.circuit, args.format)
-        constraints = _load_constraints(args.constraints, circuit)
+        circuit = parse_file(args.circuit, args.format)
+        constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
         config = _config_from_args(args)
     except (ParseError, CircuitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -122,8 +113,8 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        circuit = _load_circuit(args.circuit, args.format)
-        constraints = _load_constraints(args.constraints, circuit)
+        circuit = parse_file(args.circuit, args.format)
+        constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
         text = Path(args.solutions).read_text()
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -180,10 +171,10 @@ def cmd_verify(args) -> int:
 
 def cmd_export_cnf(args) -> int:
     try:
-        circuit = _load_circuit(args.circuit, args.format)
+        circuit = parse_file(args.circuit, args.format)
         constraints = None
         if args.constraints:
-            constraints = _load_constraints(args.constraints, circuit)
+            constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
         cnf = tseytin_encode(circuit, constraints)
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -199,7 +190,7 @@ def cmd_export_cnf(args) -> int:
 
 def cmd_info(args) -> int:
     try:
-        circuit = _load_circuit(args.circuit, args.format)
+        circuit = parse_file(args.circuit, args.format)
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -269,8 +260,8 @@ def cmd_bench(args) -> int:
     for idx, cell in enumerate(cells):
         label = f"cell{idx:03d}"
         try:
-            circuit = _load_circuit(cell["circuit"], cell["format"])
-            constraints = _load_constraints(cell["constraints"], circuit)
+            circuit = parse_file(cell["circuit"], cell["format"])
+            constraints = parse_constraints(Path(cell["constraints"]).read_text(), circuit)
             config = SamplerConfig(
                 batch_size=cell["batch"],
                 learning_rate=cell["lr"],
@@ -353,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="solutions.txt")
     p.add_argument("--stats", default="stats.json")
     p.add_argument("--emit-all-inputs", action="store_true",
-                   help="emit all primary inputs (don't-cares random-filled)")
+                   help="emit all primary inputs (don't-cares as drawn from the seed)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="re-check a solutions file against the oracle")

@@ -7,13 +7,14 @@ bits, verified against the exact Boolean simulator and folded into a
 deduplicated solution set, with per-iteration discovery statistics.
 
 Only inputs in the support cone of the constraints are trained; the rest are
-don't-cares.  Every sample's random stream is keyed by (seed, row index), so
-results are independent of batch partitioning and worker count.
+don't-cares that keep their initial draws.  V is drawn row by row from one
+stream seeded by `seed`, so a batch is a prefix of any larger batch.  Chunks
+are harvested in a fixed order, so results do not depend on chunking or
+worker count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -104,34 +105,25 @@ class SolutionSet:
         return {tuple(int(b) for b in row) for row in self.cone_rows()}
 
 
-def _row_rng(seed: int, row: int) -> np.random.Generator:
-    # Counter-based keying: one independent Philox stream per (seed, row).
-    return np.random.Generator(np.random.Philox(key=(seed & (2**64 - 1)) * 2**64 + row))
-
-
 def init_embeddings(
     config: SamplerConfig, circuit: Circuit, constraints: ConstraintSet
 ) -> EmbeddingMatrix:
-    """V ~ Uniform[-a, a] i.i.d., one Philox stream per sample row."""
+    """V ~ Uniform[-a, a] i.i.d., drawn row by row from one Philox stream keyed by the seed."""
     cone = circuit.support_cone(constraints)
     if not cone:
         raise CircuitError("constraint cone contains no primary inputs")
     mask = np.array([net in cone for net in circuit.primary_inputs])
-    n = circuit.num_inputs
-    V = np.empty((config.batch_size, n))
+    rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
     a = config.init_range
-    for i in range(config.batch_size):
-        V[i] = _row_rng(config.seed, i).uniform(-a, a, size=n)
+    V = rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs))
     return EmbeddingMatrix(V=V, cone_mask=mask)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive number never overflows; equal bit for bit to
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss_and_grad(
@@ -169,18 +161,6 @@ def harden(V: np.ndarray) -> np.ndarray:
     return (np.asarray(V) >= 0.0).astype(np.uint8)
 
 
-def _dont_care_fill(seed: int, cone_bits: np.ndarray, width: int) -> np.ndarray:
-    """Deterministic, order-independent random bits for non-cone inputs."""
-    h = hashlib.sha256()
-    h.update(seed.to_bytes(16, "little", signed=True))
-    h.update(np.packbits(cone_bits).tobytes())
-    raw = np.frombuffer(h.digest(), dtype=np.uint8)
-    while raw.size * 8 < width:
-        h.update(b"x")
-        raw = np.concatenate([raw, np.frombuffer(h.digest(), dtype=np.uint8)])
-    return np.unpackbits(raw)[:width]
-
-
 def _process_chunk(
     circuit: Circuit,
     constraints: ConstraintSet,
@@ -213,7 +193,7 @@ def run_sampling(
     emb = init_embeddings(config, circuit, constraints)
     mask = emb.cone_mask
     cone_cols = [i for i, m in enumerate(mask) if m]
-    non_cone_cols = [i for i, m in enumerate(mask) if not m]
+    key_cols = cone_cols if config.dedup_scope == DEDUP_CONE else slice(None)
     pin_nets = list(constraints.pins)
     pin_bits = np.array([constraints.pins[n] for n in pin_nets], dtype=np.uint8)
 
@@ -240,29 +220,23 @@ def run_sampling(
                     circuit, constraints, config, emb.V[lo:hi], mask, pin_nets, pin_bits
                 )
 
-            results = list(pool.map(work, chunks)) if pool else [work(s) for s in chunks]
+            # Lazy: a chunk's rows are harvested, then dropped, as soon as it is done.
+            results = pool.map(work, chunks) if pool else map(work, chunks)
 
             new_unique = 0
             loss_sum = 0.0
             for hard_ok, chunk_loss in results:  # chunk order fixed => deterministic
                 loss_sum += chunk_loss
-                for row in hard_ok:
-                    if config.dedup_scope == DEDUP_CONE:
-                        cone_bits = row[cone_cols]
-                        key = np.packbits(cone_bits).tobytes()
-                        if key in result.solutions:
-                            continue
-                        full = row.copy()
-                        if non_cone_cols:
-                            fill = _dont_care_fill(config.seed, cone_bits, len(non_cone_cols))
-                            full[non_cone_cols] = fill
-                    else:
-                        key = np.packbits(row).tobytes()
-                        if key in result.solutions:
-                            continue
-                        full = row.copy()
-                    result.solutions[key] = full
-                    new_unique += 1
+                # One key per row, compared as a single void scalar; bytes
+                # copied out so an empty chunk needs no strides.
+                packed = np.packbits(hard_ok[:, key_cols], axis=1)
+                keys = np.frombuffer(packed.tobytes(), dtype=f"V{packed.shape[1]}")
+                first = np.sort(np.unique(keys, return_index=True)[1])
+                for i, key in zip(first.tolist(), keys[first].tolist()):
+                    if key not in result.solutions:
+                        # The hardened row the oracle checked, don't-cares included.
+                        result.solutions[key] = hard_ok[i].copy()
+                        new_unique += 1
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             result.stats.append(
                 IterationStats(

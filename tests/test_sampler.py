@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circsat import (
     Circuit,
@@ -14,7 +18,8 @@ from circsat import (
     loss_and_grad,
     run_sampling,
 )
-from circsat.sampler import EmbeddingMatrix
+from circsat import sampler
+from circsat.sampler import EmbeddingMatrix, _sigmoid
 
 from helpers import brute_force_solutions, load, random_circuit
 
@@ -130,6 +135,22 @@ class TestLossAndGrad:
                 assert grad[:, j] == pytest.approx(fd, abs=1e-6)
 
 
+def test_sigmoid_bitwise_equals_two_branch_formula():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 36.0, -36.0, 709.0, -709.0,
+             710.0, -710.0, 746.0, -746.0, 1e308, -1e308]
+    x = np.concatenate([edges, np.random.default_rng(3).normal(0, 20, 4096)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x)
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    assert got.tobytes() == want.tobytes()
+    assert got[:4].tolist() == [0.5, 0.5, 0.5, 0.5]
+    assert got[len(edges) - 2 : len(edges)].tolist() == [1.0, 0.0]
+
+
 class TestGdStepAndHarden:
     def test_worked_example_update(self):
         c, cs = c15_with_pin()
@@ -188,6 +209,17 @@ class TestRunSampling:
         assert len(result) == 0
         assert [s.cumulative_unique for s in result.stats] == [0] * 5
 
+    @pytest.mark.parametrize("scope", ["cone", "all"])
+    def test_no_satisfied_rows_with_multibyte_key(self, scope):
+        # z = AND(x0..x9, NOT x0) is constant 0; the 10-input key packs to 2 bytes.
+        names = [f"x{i}" for i in range(10)] + ["nx0", "z"]
+        gates = [Gate(GateKind.NOT, (0,), 10), Gate(GateKind.AND, tuple(range(11)), 11)]
+        c = Circuit(names, list(range(10)), [11], gates)
+        cfg = SamplerConfig(batch_size=300, iterations=3, seed=1, dedup_scope=scope)
+        result = run_sampling(c, ConstraintSet({11: 1}), cfg)
+        assert len(result) == 0
+        assert [s.cumulative_unique for s in result.stats] == [0] * 3
+
     def test_every_solution_satisfies_pins(self):
         rng = np.random.default_rng(21)
         c = random_circuit(rng, n_inputs=8, n_gates=30)
@@ -225,6 +257,31 @@ class TestRunSampling:
             assert [(s.new_unique, s.cumulative_unique, s.loss_mean) for s in r1.stats] == [
                 (s.new_unique, s.cumulative_unique, s.loss_mean) for s in other.stats
             ]
+
+    @pytest.mark.parametrize("scope", ["cone", "all"])
+    @pytest.mark.parametrize(
+        "name,pins", [("c15.v", {"G19": 1}), ("c17.bench", {"22": 0})]  # c17: 7 off-cone
+    )
+    def test_results_do_not_depend_on_chunking(self, monkeypatch, name, pins, scope):
+        c = load(name)
+        cs = ConstraintSet.from_names(c, pins)
+        runs = []
+        for chunk_rows in (7, 8192):
+            monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+            for threads in (1, 3):
+                cfg = SamplerConfig(batch_size=600, iterations=4, seed=5,
+                                    dedup_scope=scope, threads=threads)
+                r = run_sampling(c, cs, cfg)
+                runs.append((
+                    list(r.solutions),
+                    [row.tolist() for row in r.solutions.values()],
+                    [(s.iteration, s.new_unique, s.cumulative_unique) for s in r.stats],
+                    [s.loss_mean for s in r.stats],
+                ))
+        for run in runs[1:]:
+            assert run[:3] == runs[0][:3]
+            # Chunk loss sums are added in a different grouping.
+            assert run[3] == pytest.approx(runs[0][3], rel=1e-12)
 
     def test_non_cone_columns_frozen(self):
         c, cs = c15_with_pin()
@@ -287,3 +344,25 @@ def test_config_validation():
         SamplerConfig(batch_size=4, dedup_scope="weird")
     with pytest.raises(ValueError):
         SamplerConfig(batch_size=4, threads=-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    target=st.integers(0, 1),
+    scope=st.sampled_from(["cone", "all"]),
+    seed=st.integers(0, 2**16),
+)
+def test_sampled_rows_are_verified_distinct_brute_force_solutions(circuit_seed, target, scope, seed):
+    c = random_circuit(np.random.default_rng(circuit_seed), n_inputs=5, n_gates=10)
+    cs = ConstraintSet({c.primary_outputs[0]: target})
+    assume(c.support_cone(cs))
+    cfg = SamplerConfig(batch_size=96, iterations=3, seed=seed, dedup_scope=scope)
+    result = run_sampling(c, cs, cfg)
+    rows = result.full_rows()
+    pins = list(cs.pins)
+    assert np.all(c.eval_batch(rows, nets=pins) == [cs.pins[n] for n in pins])
+    cols = result.cone_cols
+    assert result.cone_keys() <= {tuple(s[j] for j in cols) for s in brute_force_solutions(c, cs)}
+    key_rows = rows[:, cols] if scope == "cone" else rows
+    assert len({tuple(r) for r in key_rows.tolist()}) == len(rows)
