@@ -132,6 +132,7 @@ class Circuit:
         for gi, g in enumerate(self.gates):
             self.driver.setdefault(g.output, gi)
         self._topo: list[int] | None = None
+        self._programs: dict[frozenset, ConeProgram] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -314,23 +315,77 @@ class Circuit:
             out[:, j] = vals[net]
         return out
 
-    # -- support cone -----------------------------------------------------
+    # -- support cone and the compiled cone program ----------------------
+
+    def _fan_in(self, nets, stop=()) -> set[int]:
+        """Nets in the transitive fan-in of `nets`, not descending past `stop`."""
+        seen: set[int] = set()
+        stack = list(nets)
+        while stack:
+            net = stack.pop()
+            if net not in seen:
+                seen.add(net)
+                if net not in stop and net in self.driver:
+                    stack.extend(self.gates[self.driver[net]].inputs)
+        return seen
 
     def support_cone(self, constraints: ConstraintSet) -> set[int]:
         """Primary inputs in the transitive fan-in of any pinned net."""
-        input_set = set(self.primary_inputs)
-        seen: set[int] = set()
-        stack = list(constraints.pins)
-        cone: set[int] = set()
-        while stack:
-            net = stack.pop()
-            if net in seen:
-                continue
-            seen.add(net)
-            if net in input_set:
-                cone.add(net)
-            gi = self.driver.get(net)
-            if gi is not None:
-                stack.extend(self.gates[gi].inputs)
-        return cone
+        return self._fan_in(constraints.pins) & set(self.primary_inputs)
+
+    def compile(self, constraints: ConstraintSet) -> ConeProgram:
+        """The `ConeProgram` of the pinned nets, compiled once per set of pins.
+
+        A net whose fan-in holds no primary input is constant.  A constant
+        net in the cone becomes one constant gate, and its fan-in leaves the
+        cone; a pin on it stays, so the program's oracle judges it.
+        """
+        key = frozenset(constraints.pins.items())
+        if key not in self._programs:
+            self._programs[key] = self._compile(constraints.pins)
+        return self._programs[key]
+
+    def _compile(self, pins: dict[int, int]) -> ConeProgram:
+        const: dict[int, int] = {}
+        for gi in self.topo_order():
+            g = self.gates[gi]
+            if all(n in const for n in g.inputs):
+                const[g.output] = g.kind.truth([const[n] for n in g.inputs])
+        cone = self._fan_in(pins, stop=const)
+        cols = [c for c, net in enumerate(self.primary_inputs) if net in cone]
+        order = [gi for gi in self.topo_order() if self.gates[gi].output in cone]
+        nets = [self.primary_inputs[c] for c in cols] + [self.gates[gi].output for gi in order]
+        local = {net: i for i, net in enumerate(nets)}
+        gates = []
+        for gi in order:
+            kind, ins, out = self.gates[gi].kind, self.gates[gi].inputs, self.gates[gi].output
+            if out in const:
+                kind, ins = (GateKind.CONST1 if const[out] else GateKind.CONST0), ()
+            gates.append(Gate(kind, tuple(local[n] for n in ins), local[out]))
+        dense = Circuit([self.names[n] for n in nets], list(range(len(cols))),
+                        [local[n] for n in pins], gates)
+        dense._topo = list(range(len(gates)))
+        local_pins = {local[n]: bit for n, bit in pins.items()}
+        constants = {local[n]: const[n] for n in nets if n in const}
+        # The program's circuit compiles its own pins to itself.
+        dense._programs[frozenset(local_pins.items())] = ConeProgram(
+            dense, list(range(len(cols))), local_pins, constants)
+        return ConeProgram(dense, cols, local_pins, constants)
+
+
+@dataclass(frozen=True)
+class ConeProgram:
+    """The fan-in cone of some pinned nets, compiled to a dense circuit.
+
+    `circuit` numbers the cone inputs 0..k-1 in primary-input order, then its
+    gate outputs in topological order, under the source names; cone input i
+    is primary-input column `input_cols[i]`.  `pins` and `constants` map local
+    net ids to the pinned bit and to the value of each constant net.  The
+    relaxed passes, the step and the oracle all run on it.
+    """
+
+    circuit: Circuit
+    input_cols: list[int]
+    pins: dict[int, int]
+    constants: dict[int, int]
 

@@ -99,7 +99,7 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     try:
         result = run_sampling(circuit, constraints, config)
-    except CircuitError as exc:
+    except (CircuitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -115,6 +115,7 @@ def cmd_verify(args) -> int:
     try:
         circuit = parse_file(args.circuit, args.format)
         constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
+        cone = circuit.compile(constraints)
         text = Path(args.solutions).read_text()
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -132,9 +133,7 @@ def cmd_verify(args) -> int:
         if name in header[:k]:
             print(f"error: duplicate header column '{name}'", file=sys.stderr)
             return EXIT_INPUT
-    cone = circuit.support_cone(constraints)
-    missing = [circuit.name(n) for n in circuit.primary_inputs
-               if n in cone and circuit.name(n) not in header]
+    missing = [name for name in cone.circuit.names[: cone.circuit.num_inputs] if name not in header]
     if missing:
         cols = ", ".join(f"'{name}'" for name in missing)
         print(f"error: header lacks support-cone input column(s) {cols}", file=sys.stderr)
@@ -155,13 +154,13 @@ def cmd_verify(args) -> int:
             )
             return EXIT_INPUT
         bits[k, cols] = [int(bit) for bit in row]
-    pin_nets = list(constraints.pins)
-    want = np.array([constraints.pins[n] for n in pin_nets], dtype=np.uint8)
-    got = circuit.eval_batch(bits, nets=pin_nets)
+    pin_nets = list(cone.pins)
+    want = np.array([cone.pins[n] for n in pin_nets], dtype=np.uint8)
+    got = cone.circuit.eval_batch(bits[:, cone.input_cols], nets=pin_nets)
     failing = np.flatnonzero(np.any(got != want, axis=1))
     if failing.size:
         k = failing[0]
-        bad = {circuit.name(n): int(got[k, j])
+        bad = {cone.circuit.name(n): int(got[k, j])
                for j, n in enumerate(pin_nets) if got[k, j] != want[j]}
         print(f"verification failed at line {k + 2}: row '{rows[k].strip()}' gives {bad}")
         return EXIT_VERIFY
@@ -274,7 +273,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             result = run_sampling(circuit, constraints, config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-        except (ParseError, CircuitError, OSError, ValueError) as exc:
+        except (ParseError, CircuitError, OSError, ValueError, MemoryError) as exc:
             print(f"{label}: FAILED: {exc}", file=sys.stderr)
             (out_dir / f"{label}.error.txt").write_text(str(exc) + "\n")
             any_failed = True

@@ -6,6 +6,7 @@ support round-trip testing and format conversion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from pathlib import Path
@@ -176,6 +177,14 @@ def parse_verilog(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _kinds_by_table(fan_in: int) -> dict[tuple[int, ...], GateKind]:
+    """Truth table in `itertools.product` order -> the first such kind in `GateKind`."""
+    points = list(itertools.product((0, 1), repeat=fan_in))
+    kinds = [kind for kind in GateKind if kind.arity_ok(fan_in)]
+    return {tuple(kind.truth(bits) for bits in points): kind for kind in reversed(kinds)}
+
+
 def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int) -> GateKind:
     """Canonicalize a single-output cover by truth-table matching."""
     out_vals = {out for _, out in lines}
@@ -189,14 +198,14 @@ def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int) -> GateKind:
                 return True
         return False
 
-    points = list(itertools.product((0, 1), repeat=fan_in))
-    table = [listed if covered(bits) else 1 - listed for bits in points]
-    for kind in GateKind:
-        if kind.arity_ok(fan_in) and [kind.truth(bits) for bits in points] == table:
-            return kind
-    raise ParseError(
-        f"unsupported cover: {fan_in}-input truth table matches no supported gate"
-    )
+    points = itertools.product((0, 1), repeat=fan_in)
+    table = tuple(listed if covered(bits) else 1 - listed for bits in points)
+    kind = _kinds_by_table(fan_in).get(table)
+    if kind is None:
+        raise ParseError(
+            f"unsupported cover: {fan_in}-input truth table matches no supported gate"
+        )
+    return kind
 
 
 def parse_blif(text: str) -> Circuit:

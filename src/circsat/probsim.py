@@ -8,79 +8,92 @@ for 'xor' -- mapped to the probability that the gate outputs 1.  The
 derivative with respect to one input is the product of the other inputs'
 factors, negated when the gate inverts its reduction.
 
-The forward pass records every net's probability row in a tape
-(structure-of-arrays over the batch); the backward pass accumulates seed
-gradients on pinned nets down to the primary inputs by reverse traversal.
-Values are exact at binary input points, where the relaxation coincides with
-the discrete circuit.
+The forward pass records one probability row per net in a tape; the backward
+pass accumulates seed gradients on pinned nets down to the primary inputs by
+reverse traversal.  Both run on whatever circuit they are given: the sampler
+gives them the dense cone program of `Circuit.compile`.  Values are exact at
+binary input points, where the relaxation coincides with the discrete circuit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, GateKind
+from .circuit import Circuit, CircuitError, Gate, GateKind
 
-# reduction -> (factor of one input, P(out = 1) and P(out = 0) from the product
-# c of the factors).  c is P(all inputs 1) for 'and', P(all inputs 0) for 'or'
-# and the parity bias P(even) - P(odd) for 'xor'.
+# reduction -> (factor of one input, a, s) with P(out = 1) = a + s * c for the
+# product c of the factors: c is P(all inputs 1) for 'and', P(all inputs 0)
+# for 'or' and the parity bias P(even) - P(odd) for 'xor'.  An inverted gate
+# gives (1 - a) - s * c.
 _RELAXED = {
-    "and": (lambda p: p, lambda c: c, lambda c: 1.0 - c),
-    "or": (lambda p: 1.0 - p, lambda c: 1.0 - c, lambda c: c),
-    "xor": (lambda p: 1.0 - 2.0 * p, lambda c: 0.5 - 0.5 * c, lambda c: 0.5 + 0.5 * c),
+    "and": (lambda p: p, 0.0, 1.0),
+    "or": (lambda p: 1.0 - p, 1.0, -1.0),
+    "xor": (lambda p: 1.0 - 2.0 * p, 0.5, -0.5),
 }
 
 
-def _relaxed(kind: GateKind, rows: list[np.ndarray], shape) -> np.ndarray:
-    """Output probability of one gate, as a new array of `shape`."""
-    factor, one, zero = _RELAXED[kind.reduction]
-    c = np.ones(shape)
-    for r in rows:
-        c *= factor(r)
-    return zero(c) if kind.inverted(len(rows)) else one(c)
+def _relaxed(kind: GateKind, rows: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Output probability of one gate, written into `out`."""
+    factor, a, s = _RELAXED[kind.reduction]
+    if kind.inverted(len(rows)):
+        a, s = 1.0 - a, -s
+    if len(rows) > 1:
+        np.multiply(factor(rows[0]), factor(rows[1]), out=out)
+    else:
+        out[...] = factor(rows[0]) if rows else 1.0
+    for r in rows[2:]:
+        out *= factor(r)
+    if s == -1.0:
+        np.subtract(a, out, out=out)
+    elif s != 1.0:
+        out *= s
+        out += a
+    return out
 
 
-def _derivative(kind: GateKind, rows: list[np.ndarray], i: int) -> np.ndarray:
-    """d(output prob)/d(input prob i): ± the product of the other factors."""
-    factor = _RELAXED[kind.reduction][0]
-    out = np.ones_like(rows[0])
-    for j, r in enumerate(rows):
-        if j != i:
-            out *= factor(r)
-    return -out if kind.inverted(len(rows)) else out
+def _others(factors: list[np.ndarray], i: int, out_adj: np.ndarray) -> np.ndarray:
+    """The product, left to right, of every factor but the i-th, times out_adj."""
+    return functools.reduce(np.multiply, factors[:i] + factors[i + 1 :] + [out_adj])
+
+
+def _one_gate(kind: GateKind, input_probs) -> tuple[Circuit, np.ndarray]:
+    """A circuit of one gate on inputs 0..k-1 with output k, and its (1, k) probabilities."""
+    probs = [float(p) for p in input_probs]
+    k = len(probs)
+    if not kind.arity_ok(k):
+        raise CircuitError(f"{kind.value} gate cannot take {k} inputs")
+    names = [f"i{j}" for j in range(k)] + ["y"]
+    return Circuit(names, list(range(k)), [k], [Gate(kind, tuple(range(k)), k)]), np.array([probs])
 
 
 def gate_prob(kind: GateKind, input_probs) -> float:
     """Output probability of one gate at scalar input probabilities."""
-    probs = [float(p) for p in input_probs]
-    if not kind.arity_ok(len(probs)):
-        raise CircuitError(f"{kind.value} gate cannot take {len(probs)} inputs")
-    for p in probs:
+    circuit, P = _one_gate(kind, input_probs)
+    for p in P[0]:
         if not 0.0 <= p <= 1.0:
             raise CircuitError(f"input probability {p} outside [0, 1]")
-    rows = [np.asarray(p, dtype=float) for p in probs]
-    return float(np.clip(_relaxed(kind, rows, ()), 0.0, 1.0))
+    return float(forward(circuit, P).values[-1, 0])
 
 
 def gate_grad(kind: GateKind, input_probs, input_index: int) -> float:
     """d(output prob)/d(input prob) for one input of one gate."""
-    probs = [float(p) for p in input_probs]
-    if not kind.arity_ok(len(probs)):
-        raise CircuitError(f"{kind.value} gate cannot take {len(probs)} inputs")
-    if not 0 <= input_index < len(probs):
-        raise CircuitError(f"input index {input_index} out of range for {len(probs)} inputs")
-    rows = [np.asarray(p, dtype=float) for p in probs]
-    return float(_derivative(kind, rows, input_index))
+    circuit, P = _one_gate(kind, input_probs)
+    k = circuit.num_inputs
+    if not 0 <= input_index < k:
+        raise CircuitError(f"input index {input_index} out of range for {k} inputs")
+    tape = forward(circuit, P)
+    return float(backward(circuit, tape, {circuit.num_inputs: np.ones(1)})[0, input_index])
 
 
 @dataclass
 class ProbTape:
     """Per-net probability rows for one forward pass.
 
-    `values[net_id]` is the (b,) probability row of that net; rows exist for
-    every net in the circuit.
+    `values[net_id]` is the (b,) probability row of that net, in the net
+    numbering of the circuit the pass ran on.
     """
 
     circuit: Circuit
@@ -109,42 +122,31 @@ def forward(circuit: Circuit, input_probs: np.ndarray) -> ProbTape:
             f"expected input probabilities of shape (b, {circuit.num_inputs}), "
             f"got {input_probs.shape}"
         )
-    b = input_probs.shape[0]
-    values = np.zeros((circuit.num_nets, b))
-    for col, net in enumerate(circuit.primary_inputs):
-        values[net] = input_probs[:, col]
+    values = np.zeros((circuit.num_nets, input_probs.shape[0]))
+    values[circuit.primary_inputs] = input_probs.T
     for gi in circuit.topo_order():
         g = circuit.gates[gi]
-        row = _relaxed(g.kind, [values[n] for n in g.inputs], b)
-        np.clip(row, 0.0, 1.0, out=values[g.output])
+        _relaxed(g.kind, [values[n] for n in g.inputs], values[g.output])
     return ProbTape(circuit, values)
 
 
 def backward(circuit: Circuit, tape: ProbTape, seeds: dict[int, np.ndarray]) -> np.ndarray:
     """Accumulate seed gradients on pinned nets down to input probabilities.
 
-    `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n);
-    inputs outside the fan-in of every seeded net get exactly 0.
+    `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n)
+    as a view of the input rows of the adjoint; inputs outside the fan-in of
+    every seeded net get exactly 0.
     """
-    b = tape.batch_size
     adj = np.zeros_like(tape.values)
-    touched = np.zeros(circuit.num_nets, dtype=bool)
     for net, seed in seeds.items():
         if not 0 <= net < circuit.num_nets:
             raise CircuitError(f"pinned net id {net} not in circuit")
         adj[net] += np.asarray(seed, dtype=np.float64)
-        touched[net] = True
     for gi in reversed(circuit.topo_order()):
         g = circuit.gates[gi]
-        if not touched[g.output]:
-            continue
-        rows = [tape.values[n] for n in g.inputs]
-        out_adj = adj[g.output]
+        factor = _RELAXED[g.kind.reduction][0]
+        factors = [factor(tape.values[n]) for n in g.inputs]
+        accumulate = np.subtract if g.kind.inverted(len(factors)) else np.add
         for i, net in enumerate(g.inputs):
-            adj[net] += out_adj * _derivative(g.kind, rows, i)
-            touched[net] = True
-    grads = np.zeros((b, circuit.num_inputs))
-    for col, net in enumerate(circuit.primary_inputs):
-        if touched[net]:
-            grads[:, col] = adj[net]
-    return grads
+            accumulate(adj[net], _others(factors, i, adj[g.output]), out=adj[net])
+    return adj[circuit.primary_inputs].T

@@ -7,21 +7,27 @@ bits, verified against the exact Boolean simulator and folded into a
 deduplicated solution set, with per-iteration discovery statistics.
 
 Only inputs in the support cone of the constraints are trained; the rest are
-don't-cares that keep their initial draws.  V is drawn row by row from one
-stream seeded by `seed`, so a batch is a prefix of any larger batch.  Chunks
-are harvested in a fixed order, so results do not depend on chunking or
-worker count.
+don't-cares that keep their initial draws.  `run_sampling` compiles the cone
+once (`Circuit.compile`) and runs the relaxed passes, the step and the oracle
+on that dense program alone.  V is drawn from one stream seeded by `seed` in
+chunks of rows, and successive draws continue the stream, so a batch is a
+prefix of any larger batch.  The sampler keeps V input-major, moves the cone
+rows to the front and steps them in place; of the other rows it keeps only
+the hardened bits.  Chunks are harvested in a fixed order, so results do not
+depend on chunking or worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, ConstraintSet
+from .circuit import Circuit, CircuitError, ConeProgram, ConstraintSet
 from .probsim import backward, forward
 
 _CHUNK_ROWS = 8192  # fixed split so thread count never changes results
@@ -108,44 +114,57 @@ class SolutionSet:
 def init_embeddings(
     config: SamplerConfig, circuit: Circuit, constraints: ConstraintSet
 ) -> EmbeddingMatrix:
-    """V ~ Uniform[-a, a] i.i.d., drawn row by row from one Philox stream keyed by the seed."""
+    """V ~ Uniform[-a, a] i.i.d. from one Philox stream keyed by the seed.
+
+    V is drawn in blocks of `_CHUNK_ROWS` rows; successive draws continue the
+    stream, so the rows equal one whole draw.  V is stored column-major, so
+    `V.T` is input-major.
+    """
     cone = circuit.support_cone(constraints)
     if not cone:
         raise CircuitError("constraint cone contains no primary inputs")
     mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
-    a = config.init_range
-    V = rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs))
+    a, b, n = config.init_range, config.batch_size, circuit.num_inputs
+    V = np.empty((n, b)).T
+    for lo in range(0, b, _CHUNK_ROWS):
+        V[lo : lo + _CHUNK_ROWS] = rng.uniform(-a, a, size=(min(_CHUNK_ROWS, b - lo), n))
     return EmbeddingMatrix(V=V, cone_mask=mask)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive number never overflows; equal bit for bit to
-    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.  As e <= 1, the
+    # numerator max(e, x >= 0) is 1 for x >= 0 and e below, without a branch.
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    p = np.maximum(e, x >= 0)
+    return np.divide(p, np.add(1.0, e, out=e), out=p)
 
 
 def loss_and_grad(
     circuit: Circuit, emb: EmbeddingMatrix, constraints: ConstraintSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample l2 loss over the pinned nets and dL/dV.
+    """Per-sample l2 loss over the pinned nets and dL/dV, on their compiled cone.
 
-    Gradients are chained through the sigmoid; columns outside the cone mask
-    are exactly zero.
+    Gradients are chained through the sigmoid; columns outside the support
+    cone are exactly zero.
     """
-    P = _sigmoid(emb.V)
-    tape = forward(circuit, P)
-    b = P.shape[0]
-    loss = np.zeros(b)
-    seeds: dict[int, np.ndarray] = {}
-    for net, target in constraints.pins.items():
-        diff = tape.net(net) - float(target)
-        loss += diff * diff
-        seeds[net] = 2.0 * diff
-    dP = backward(circuit, tape, seeds)
-    dV = dP * P * (1.0 - P)
-    dV[:, ~emb.cone_mask] = 0.0
+    cone = circuit.compile(constraints)
+    whole = len(cone.input_cols) == circuit.num_inputs  # every column is a cone column
+    U = emb.V.T if whole else emb.V[:, cone.input_cols].T  # input-major
+    P = _sigmoid(U)
+    tape = forward(cone.circuit, P.T)
+    diffs = {net: tape.net(net) - float(target) for net, target in cone.pins.items()}
+    loss = sum(d * d for d in diffs.values())
+    seeds = {net: 2.0 * d for net, d in diffs.items()}
+    dU = backward(cone.circuit, tape, seeds).T  # an input-major copy, ours to scale
+    dU *= P
+    dU *= 1.0 - P
+    if whole:
+        return loss, dU.T
+    dV = np.zeros_like(emb.V)
+    dV[:, cone.input_cols] = dU.T
     return loss, dV
 
 
@@ -162,22 +181,43 @@ def harden(V: np.ndarray) -> np.ndarray:
 
 
 def _process_chunk(
-    circuit: Circuit,
-    constraints: ConstraintSet,
-    config: SamplerConfig,
-    V: np.ndarray,
-    mask: np.ndarray,
-    pin_nets: list[int],
-    pin_bits: np.ndarray,
+    cone: ConeProgram,
+    pins: ConstraintSet,
+    learning_rate: float,
+    free_cols: list[int],
+    U: np.ndarray,
+    free_bits: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """One GD step on a V chunk (updated in place); returns (satisfied hard rows, loss sum)."""
-    emb = EmbeddingMatrix(V=V, cone_mask=mask)
-    loss, grad = loss_and_grad(circuit, emb, constraints)
-    V[:] = gd_step(emb, grad, config.learning_rate).V
-    hard = harden(V)
-    got = circuit.eval_batch(hard, nets=pin_nets)
-    ok = np.all(got == pin_bits, axis=1)
-    return hard[ok], float(loss.sum())
+    """One GD step on a chunk's input-major cone rows U (in place).
+
+    `pins` are the program's pins and `free_bits` the chunk's input-major
+    don't-care bits; returns (satisfied full rows, loss sum).
+    """
+    emb = EmbeddingMatrix(V=U.T, cone_mask=np.ones(len(U), dtype=bool))
+    loss, grad = loss_and_grad(cone.circuit, emb, pins)  # the program compiles to itself
+    grad *= learning_rate
+    emb.V -= grad
+    hard = harden(emb.V)
+    got = cone.circuit.eval_batch(hard, nets=list(cone.pins))
+    ok = np.all(got == list(cone.pins.values()), axis=1)
+    rows = np.empty((int(ok.sum()), len(cone.input_cols) + len(free_cols)), dtype=np.uint8)
+    rows[:, cone.input_cols] = hard[ok]  # the cone bits as checked
+    rows[:, free_cols] = free_bits[:, ok].T  # the don't-care bits as drawn
+    return rows, float(loss.sum())
+
+
+def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int):
+    """Refuse a batch whose estimated peak use exceeds physical memory."""
+    # Kept per row: V and the don't-care bits.  Once: a block of the draw.  Per
+    # worker and chunk row: the tape, the adjoint and a few cone-sized temporaries.
+    k, nets, b = len(cone.input_cols), cone.circuit.num_nets, config.batch_size
+    need = b * (9 * n - k) + min(b, _CHUNK_ROWS) * 8 * (n + workers * (2 * nets + 6 * k))
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(
+            f"batch of {b} rows needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def run_sampling(
@@ -190,38 +230,46 @@ def run_sampling(
     if not constraints.pins:
         raise CircuitError("constraint set is empty")
 
-    emb = init_embeddings(config, circuit, constraints)
-    mask = emb.cone_mask
-    cone_cols = [i for i, m in enumerate(mask) if m]
-    key_cols = cone_cols if config.dedup_scope == DEDUP_CONE else slice(None)
-    pin_nets = list(constraints.pins)
-    pin_bits = np.array([constraints.pins[n] for n in pin_nets], dtype=np.uint8)
+    cone = circuit.compile(constraints)
+    for net, bit in cone.pins.items():
+        if cone.constants.get(net, bit) != bit:
+            raise CircuitError(f"unsatisfiable: net {cone.circuit.name(net)} is constant {1 - bit}")
+    if not cone.input_cols:
+        raise CircuitError(
+            "constraint cone contains no primary inputs: every pin is on a constant "
+            "net that meets it, so every assignment meets the pins"
+        )
+    key_cols = cone.input_cols if config.dedup_scope == DEDUP_CONE else slice(None)
 
     result = SolutionSet(
-        input_names=[circuit.name(circuit.primary_inputs[c]) for c in cone_cols],
+        input_names=[circuit.name(circuit.primary_inputs[c]) for c in cone.input_cols],
         all_input_names=[circuit.name(n) for n in circuit.primary_inputs],
-        cone_cols=cone_cols,
+        cone_cols=cone.input_cols,
         dedup_scope=config.dedup_scope,
     )
 
-    chunks = [
-        (lo, min(lo + _CHUNK_ROWS, config.batch_size))
-        for lo in range(0, config.batch_size, _CHUNK_ROWS)
-    ]
-    workers = config.threads if config.threads > 0 else None  # None = cpu default
+    chunks = range(0, config.batch_size, _CHUNK_ROWS)
+    workers = min(config.threads or os.cpu_count() or 1, len(chunks))
+    _check_memory(config, cone, circuit.num_inputs, workers)
+    VT = init_embeddings(config, circuit, constraints).V.T  # input-major (n, b)
+    free_cols = sorted(set(range(circuit.num_inputs)) - set(cone.input_cols))
+    free_bits = (VT >= 0.0)[free_cols].view(np.uint8)
+    # Move the cone rows to the front in place: the columns ascend, so no row
+    # is overwritten before it is read.  Only these rows are trained.
+    for i, c in enumerate(cone.input_cols):
+        VT[i] = VT[c]
+    U = VT[: len(cone.input_cols)]
+    step = functools.partial(
+        _process_chunk, cone, ConstraintSet(cone.pins), config.learning_rate, free_cols
+    )
+    Us = [U[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
+    frees = [free_bits[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
     pool = ThreadPoolExecutor(max_workers=workers) if config.threads != 1 else None
     try:
         for it in range(1, config.iterations + 1):
             t0 = time.perf_counter()
-
-            def work(span):
-                lo, hi = span
-                return _process_chunk(
-                    circuit, constraints, config, emb.V[lo:hi], mask, pin_nets, pin_bits
-                )
-
             # Lazy: a chunk's rows are harvested, then dropped, as soon as it is done.
-            results = pool.map(work, chunks) if pool else map(work, chunks)
+            results = pool.map(step, Us, frees) if pool else map(step, Us, frees)
 
             new_unique = 0
             loss_sum = 0.0

@@ -8,7 +8,19 @@ from pathlib import Path
 
 import numpy as np
 
-from circsat import Circuit, ConstraintSet, Gate, GateKind, forward, parse_file
+from circsat import (
+    Circuit,
+    ConstraintSet,
+    EmbeddingMatrix,
+    Gate,
+    GateKind,
+    SamplerConfig,
+    backward,
+    forward,
+    gd_step,
+    harden,
+    parse_file,
+)
 
 DATA = Path(__file__).parent / "data"
 ISCAS_DIR = Path(os.environ.get("CIRCSAT_ISCAS_DIR", DATA / "iscas85"))
@@ -139,3 +151,51 @@ def fd_input_grads(
             scalar_loss(circuit, up, constraints) - scalar_loss(circuit, down, constraints)
         ) / (2 * step)
     return grads
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: SamplerConfig):
+    """The sampling loop over the whole circuit, one full-batch V, no compiled cone.
+
+    One (batch, n) draw; per iteration a whole-circuit forward and backward,
+    a masked `gd_step`, `harden`, `eval_batch` over the whole circuit and a
+    row-by-row dedup.  Returns (keys, rows, per-iteration (new, cumulative)).
+    """
+    cone = circuit.support_cone(constraints)
+    mask = np.array([net in cone for net in circuit.primary_inputs])
+    rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
+    a = config.init_range
+    emb = EmbeddingMatrix(
+        V=rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs)), cone_mask=mask
+    )
+    key_cols = mask if config.dedup_scope == "cone" else np.ones_like(mask)
+    pins = list(constraints.pins)
+    want = np.array([constraints.pins[n] for n in pins], dtype=np.uint8)
+    solutions: dict[bytes, list[int]] = {}
+    counts = []
+    for _ in range(config.iterations):
+        P = two_branch_sigmoid(emb.V)
+        tape = forward(circuit, P)
+        seeds = {net: 2.0 * (tape.net(net) - float(t)) for net, t in constraints.pins.items()}
+        dV = backward(circuit, tape, seeds) * P * (1.0 - P)
+        dV[:, ~mask] = 0.0
+        emb = gd_step(emb, dV, config.learning_rate)
+        hard = harden(emb.V)
+        ok = np.all(circuit.eval_batch(hard, nets=pins) == want, axis=1)
+        new = 0
+        for row in hard[ok]:
+            key = np.packbits(row[key_cols]).tobytes()
+            if key not in solutions:
+                solutions[key] = row.tolist()
+                new += 1
+        counts.append((new, len(solutions)))
+    return list(solutions), list(solutions.values()), counts

@@ -56,6 +56,15 @@ def sample_args(d, circuit, pins, **over):
     return ["sample"] + [t for kv in args.items() for t in kv]
 
 
+@pytest.fixture
+def const_and(tmp_path):
+    """y is the constant 1 and z = AND(a, b)."""
+    (tmp_path / "c.blif").write_text(
+        ".model t\n.inputs a b\n.outputs y z\n.names y\n1\n.names a b z\n11 1\n.end\n"
+    )
+    return tmp_path
+
+
 class TestSample:
     def test_c17_finds_all_18_full_solutions(self, c17):
         argv = sample_args(c17, "c17.bench", "pin2.txt", **{"--dedup": "all"})
@@ -97,6 +106,35 @@ class TestSample:
         (tmp_path / "y1.txt").write_text("y 1\n")
         assert run(*sample_args(tmp_path, "const.blif", "y1.txt")) == 2
         assert "error: constraint cone contains no primary inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pins", ["y 0\n", "y 0\nz 1\n", "z 1\ny 0\n"])
+    def test_pin_against_a_constant_is_unsatisfiable(self, const_and, capsys, pins):
+        (const_and / "p.txt").write_text(pins)
+        assert run(*sample_args(const_and, "c.blif", "p.txt", **{"--batch": "64"})) == 2
+        assert "error: unsatisfiable: net y is constant 1" in capsys.readouterr().err
+        assert not (const_and / "solutions.txt").exists()
+
+    def test_only_a_constant_pin_that_holds_says_every_assignment_meets_it(self, const_and, capsys):
+        (const_and / "p.txt").write_text("y 1\n")
+        assert run(*sample_args(const_and, "c.blif", "p.txt", **{"--batch": "64"})) == 2
+        assert "every assignment meets the pins" in capsys.readouterr().err
+
+    def test_constant_pin_that_holds_is_dropped(self, const_and):
+        (const_and / "both.txt").write_text("y 1\nz 1\n")
+        (const_and / "z.txt").write_text("z 1\n")
+        assert run(*sample_args(const_and, "c.blif", "both.txt", **{"--batch": "256"})) == 0
+        both = (const_and / "solutions.txt").read_bytes()
+        assert run(*sample_args(const_and, "c.blif", "z.txt", **{"--batch": "256"})) == 0
+        assert (const_and / "solutions.txt").read_bytes() == both == b"a,b\n11\n"
+
+    def test_batch_beyond_physical_memory_is_input_error(self, c17, capsys):
+        # Refused by the estimate before any allocation: numpy's own failure
+        # would read "Unable to allocate".
+        argv = sample_args(c17, "c17.bench", "pin2.txt", **{"--batch": "1000000000000"})
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "error: batch of 1000000000000 rows needs about" in err
+        assert "of physical memory" in err
 
     def test_negative_threads_is_input_error(self, c17, capsys):
         assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{"--threads": "-3"})) == 2
@@ -176,6 +214,31 @@ class TestVerify:
         (and_not / "sol.txt").write_text("b,a\n01\n11\n00\n")
         assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 3
         assert "line 3: row '11' gives {'z': 0}" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "pins,rows,code",
+        [
+            ("y 1\n", "a,b\n11\n01\n", 0),
+            ("y 1\nz 1\n", "a,b\n11\n", 0),
+            ("y 0\n", "a,b\n11\n", 3),
+            ("y 0\nz 1\n", "a,b\n11\n", 3),
+            ("y 0\n", "a,b\n", 0),
+        ],
+    )
+    def test_pin_on_a_constant_is_checked_like_any_pin(self, const_and, capsys, pins, rows, code):
+        # A constant that meets its pin passes every row, one that does not
+        # fails the first; an empty file has nothing to verify.
+        (const_and / "p.txt").write_text(pins)
+        (const_and / "rows.txt").write_text(rows)
+        assert run(
+            "verify",
+            "--circuit", str(const_and / "c.blif"),
+            "--constraints", str(const_and / "p.txt"),
+            "--solutions", str(const_and / "rows.txt"),
+        ) == code
+        if code == 3:
+            assert "verification failed at line 2: row '11' gives {'y': 1}" in capsys.readouterr().out
 
 
 class TestExportCnf:

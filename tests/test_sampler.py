@@ -21,7 +21,7 @@ from circsat import (
 from circsat import sampler
 from circsat.sampler import EmbeddingMatrix, _sigmoid
 
-from helpers import brute_force_solutions, load, random_circuit
+from helpers import brute_force_solutions, load, random_circuit, reference_sampling
 
 
 def c15_with_pin():
@@ -282,6 +282,48 @@ class TestRunSampling:
             assert run[:3] == runs[0][:3]
             # Chunk loss sums are added in a different grouping.
             assert run[3] == pytest.approx(runs[0][3], rel=1e-12)
+
+    @pytest.mark.parametrize("scope", ["cone", "all"])
+    @pytest.mark.parametrize("chunk_rows", [7, 8192])
+    @pytest.mark.parametrize(
+        "name,pins",
+        [("c15.v", {"G19": 1}), ("c17.bench", {"22": 0}), ("c17.bench", {"23": 1, "22": 0})],
+    )
+    def test_matches_whole_circuit_reference_loop(self, monkeypatch, name, pins, chunk_rows, scope):
+        # The compiled cone, the per-chunk draw and the in-place step change
+        # nothing against whole-circuit passes on one full-batch V.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+        c = load(name)
+        cs = ConstraintSet.from_names(c, pins)
+        cfg = SamplerConfig(batch_size=600, iterations=5, seed=11, dedup_scope=scope, threads=2)
+        r = run_sampling(c, cs, cfg)
+        keys, rows, counts = reference_sampling(c, cs, cfg)
+        assert list(r.solutions) == keys
+        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
+
+    @settings(max_examples=25, deadline=None)
+    @given(circuit_seed=st.integers(0, 2**32 - 1), scope=st.sampled_from(["cone", "all"]))
+    def test_matches_reference_loop_on_random_circuits(self, circuit_seed, scope):
+        rng = np.random.default_rng(circuit_seed)
+        c = random_circuit(rng, n_inputs=8, n_gates=25)
+        cs = ConstraintSet({c.primary_outputs[0]: int(rng.integers(0, 2))})
+        cfg = SamplerConfig(batch_size=300, iterations=4, seed=circuit_seed % 97,
+                            learning_rate=5.0, dedup_scope=scope)
+        r = run_sampling(c, cs, cfg)
+        keys, rows, counts = reference_sampling(c, cs, cfg)
+        assert list(r.solutions) == keys
+        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
+
+    def test_absurd_batch_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew embeddings for a batch that cannot fit")
+
+        monkeypatch.setattr(sampler, "init_embeddings", no_draw)
+        c, cs = c15_with_pin()
+        with pytest.raises(MemoryError, match="needs about .* GiB, more than the .* GiB"):
+            run_sampling(c, cs, SamplerConfig(batch_size=10**12))
 
     def test_non_cone_columns_frozen(self):
         c, cs = c15_with_pin()
