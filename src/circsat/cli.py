@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import CircuitError
 from .cnf import tseytin_encode, write_dimacs
-from .parsers import ParseError, parse_constraints, parse_file
+from .parsers import ParseError, parse_constraints, parse_file, read_text
 from .sampler import SamplerConfig, SolutionSet, run_sampling
 
 EXIT_OK = 0
@@ -91,11 +91,15 @@ def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
 def cmd_sample(args) -> int:
     try:
         circuit = parse_file(args.circuit, args.format)
-        constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
+        constraints = parse_constraints(read_text(args.constraints), circuit)
         config = _config_from_args(args)
     except (ParseError, CircuitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    for path in (Path(args.out), Path(args.stats)):
+        if not path.parent.is_dir():
+            print(f"error: directory '{path.parent}' of '{path}' does not exist", file=sys.stderr)
+            return EXIT_INPUT
     t0 = time.perf_counter()
     try:
         result = run_sampling(circuit, constraints, config)
@@ -114,9 +118,9 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     try:
         circuit = parse_file(args.circuit, args.format)
-        constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
+        constraints = parse_constraints(read_text(args.constraints), circuit)
         cone = circuit.compile(constraints)
-        text = Path(args.solutions).read_text()
+        text = read_text(args.solutions)
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -173,7 +177,7 @@ def cmd_export_cnf(args) -> int:
         circuit = parse_file(args.circuit, args.format)
         constraints = None
         if args.constraints:
-            constraints = parse_constraints(Path(args.constraints).read_text(), circuit)
+            constraints = parse_constraints(read_text(args.constraints), circuit)
         cnf = tseytin_encode(circuit, constraints)
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -260,7 +264,7 @@ def cmd_bench(args) -> int:
         label = f"cell{idx:03d}"
         try:
             circuit = parse_file(cell["circuit"], cell["format"])
-            constraints = parse_constraints(Path(cell["constraints"]).read_text(), circuit)
+            constraints = parse_constraints(read_text(cell["constraints"]), circuit)
             config = SamplerConfig(
                 batch_size=cell["batch"],
                 learning_rate=cell["lr"],

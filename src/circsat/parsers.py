@@ -420,6 +420,14 @@ _PARSERS = {"verilog": parse_verilog, "blif": parse_blif, "bench": parse_bench}
 _EXTENSIONS = {".v": "verilog", ".blif": "blif", ".bench": "bench"}
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; undecodable bytes are a ParseError naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_file(path: str | Path, fmt: str | None = None) -> Circuit:
     path = Path(path)
     if fmt is None:
@@ -430,7 +438,7 @@ def parse_file(path: str | Path, fmt: str | None = None) -> Circuit:
             )
     if fmt not in _PARSERS:
         raise ParseError(f"unknown netlist format '{fmt}'")
-    return _PARSERS[fmt](path.read_text())
+    return _PARSERS[fmt](read_text(path))
 
 
 def parse_constraints(text: str, circuit: Circuit) -> ConstraintSet:

@@ -11,8 +11,10 @@ factors, negated when the gate inverts its reduction.
 The forward pass records one probability row per net in a tape; the backward
 pass accumulates seed gradients on pinned nets down to the primary inputs by
 reverse traversal.  Both run on whatever circuit they are given: the sampler
-gives them the dense cone program of `Circuit.compile`.  Values are exact at
-binary input points, where the relaxation coincides with the discrete circuit.
+gives them the dense cone program of `Circuit.compile`, and with it one tape
+and one adjoint buffer per worker, reused for every chunk of a run through the
+passes' `out=` argument.  Values are exact at binary input points, where the
+relaxation coincides with the discrete circuit.
 """
 
 from __future__ import annotations
@@ -114,15 +116,25 @@ class ProbTape:
         return self.values[self.circuit.primary_outputs].T
 
 
-def forward(circuit: Circuit, input_probs: np.ndarray) -> ProbTape:
-    """Relaxed evaluation of every net for a (b, n) input probability matrix."""
+def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = None) -> ProbTape:
+    """Relaxed evaluation of every net for a (b, n) input probability matrix.
+
+    With `out`, a (num_nets, >= b) float64 buffer, the tape is written into
+    its leading b columns instead of a new array, and the tape is a view of it.
+    """
     input_probs = np.asarray(input_probs, dtype=np.float64)
     if input_probs.ndim != 2 or input_probs.shape[1] != circuit.num_inputs:
         raise CircuitError(
             f"expected input probabilities of shape (b, {circuit.num_inputs}), "
             f"got {input_probs.shape}"
         )
-    values = np.zeros((circuit.num_nets, input_probs.shape[0]))
+    b = input_probs.shape[0]
+    values = np.empty((circuit.num_nets, b)) if out is None else out[:, :b]
+    if values.shape != (circuit.num_nets, b):
+        raise CircuitError(f"tape buffer of shape {out.shape} cannot hold {circuit.num_nets} x {b}")
+    # A net that is neither an input nor driven by a gate reads 0, as in a new array.
+    written = set(circuit.primary_inputs) | circuit.driver.keys()
+    values[[n for n in range(circuit.num_nets) if n not in written]] = 0.0
     values[circuit.primary_inputs] = input_probs.T
     for gi in circuit.topo_order():
         g = circuit.gates[gi]
@@ -130,14 +142,22 @@ def forward(circuit: Circuit, input_probs: np.ndarray) -> ProbTape:
     return ProbTape(circuit, values)
 
 
-def backward(circuit: Circuit, tape: ProbTape, seeds: dict[int, np.ndarray]) -> np.ndarray:
+def backward(
+    circuit: Circuit, tape: ProbTape, seeds: dict[int, np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
     """Accumulate seed gradients on pinned nets down to input probabilities.
 
-    `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n)
-    as a view of the input rows of the adjoint; inputs outside the fan-in of
-    every seeded net get exactly 0.
+    `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n),
+    the transpose of a copy of the input rows of the adjoint; inputs outside
+    the fan-in of every seeded net get exactly 0.  With `out`, a
+    (num_nets, >= b) float64 buffer, the adjoint is zeroed and accumulated in
+    its leading b columns instead of a new array.
     """
-    adj = np.zeros_like(tape.values)
+    b = tape.batch_size
+    adj = np.empty_like(tape.values) if out is None else out[:, :b]
+    if adj.shape != tape.values.shape:
+        raise CircuitError(f"adjoint buffer of shape {out.shape} cannot hold {tape.values.shape}")
+    adj.fill(0.0)
     for net, seed in seeds.items():
         if not 0 <= net < circuit.num_nets:
             raise CircuitError(f"pinned net id {net} not in circuit")

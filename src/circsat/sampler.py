@@ -13,14 +13,17 @@ on that dense program alone.  V is drawn from one stream seeded by `seed` in
 chunks of rows, and successive draws continue the stream, so a batch is a
 prefix of any larger batch.  The sampler keeps V input-major, moves the cone
 rows to the front and steps them in place; of the other rows it keeps only
-the hardened bits.  Chunks are harvested in a fixed order, so results do not
-depend on chunking or worker count.
+the hardened bits.  Each worker reuses one tape and one adjoint buffer for
+every chunk of the run.  Chunks are harvested in a fixed order, so results do
+not depend on chunking or worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +34,8 @@ from .circuit import Circuit, CircuitError, ConeProgram, ConstraintSet
 from .probsim import backward, forward
 
 _CHUNK_ROWS = 8192  # fixed split so thread count never changes results
+
+_MAX_INIT_RANGE = float(np.finfo(np.float64).max) / 2  # Uniform[-a, a] needs a finite 2a
 
 DEDUP_CONE = "cone"
 DEDUP_ALL = "all"
@@ -49,12 +54,12 @@ class SamplerConfig:
     def __post_init__(self):
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.init_range <= 0:
-            raise ValueError("init_range must be positive")
+        if not 0 < self.init_range <= _MAX_INIT_RANGE:
+            raise ValueError(f"init_range must be positive and finite, at most {_MAX_INIT_RANGE:g}")
         if self.threads < 0:
             raise ValueError("threads must be 0 (one per CPU) or positive")
         if self.dedup_scope not in (DEDUP_CONE, DEDUP_ALL):
@@ -143,24 +148,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(
-    circuit: Circuit, emb: EmbeddingMatrix, constraints: ConstraintSet
+    circuit: Circuit,
+    emb: EmbeddingMatrix,
+    constraints: ConstraintSet,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample l2 loss over the pinned nets and dL/dV, on their compiled cone.
 
     Gradients are chained through the sigmoid; columns outside the support
-    cone are exactly zero.
+    cone are exactly zero.  `buffers`, a (tape, adjoint) pair of (cone nets,
+    >= b) float64 arrays, are handed to `forward` and `backward` as their
+    `out`; the returned arrays never alias them.
     """
+    tape_buf, adj_buf = buffers or (None, None)
     cone = circuit.compile(constraints)
     whole = len(cone.input_cols) == circuit.num_inputs  # every column is a cone column
     U = emb.V.T if whole else emb.V[:, cone.input_cols].T  # input-major
     P = _sigmoid(U)
-    tape = forward(cone.circuit, P.T)
+    tape = forward(cone.circuit, P.T, out=tape_buf)
     diffs = {net: tape.net(net) - float(target) for net, target in cone.pins.items()}
     loss = sum(d * d for d in diffs.values())
     seeds = {net: 2.0 * d for net, d in diffs.items()}
-    dU = backward(cone.circuit, tape, seeds).T  # an input-major copy, ours to scale
+    dU = backward(cone.circuit, tape, seeds, out=adj_buf).T  # an input-major copy, ours to scale
     dU *= P
-    dU *= 1.0 - P
+    dU *= np.subtract(1.0, P, out=P)  # P is ours and read no more: no temporary
     if whole:
         return loss, dU.T
     dV = np.zeros_like(emb.V)
@@ -185,18 +196,24 @@ def _process_chunk(
     pins: ConstraintSet,
     learning_rate: float,
     free_cols: list[int],
+    buffers: queue.SimpleQueue,
     U: np.ndarray,
     free_bits: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """One GD step on a chunk's input-major cone rows U (in place).
 
-    `pins` are the program's pins and `free_bits` the chunk's input-major
-    don't-care bits; returns (satisfied full rows, loss sum).
+    `pins` are the program's pins, `buffers` the run's (tape, adjoint) pairs
+    and `free_bits` the chunk's input-major don't-care bits; returns
+    (satisfied full rows, loss sum), neither of which aliases a buffer.
     """
     emb = EmbeddingMatrix(V=U.T, cone_mask=np.ones(len(U), dtype=bool))
-    loss, grad = loss_and_grad(cone.circuit, emb, pins)  # the program compiles to itself
-    grad *= learning_rate
-    emb.V -= grad
+    pair = buffers.get()
+    try:
+        loss, grad = loss_and_grad(cone.circuit, emb, pins, pair)  # the program compiles to itself
+        grad *= learning_rate
+        emb.V -= grad
+    finally:
+        buffers.put(pair)
     hard = harden(emb.V)
     got = cone.circuit.eval_batch(hard, nets=list(cone.pins))
     ok = np.all(got == list(cone.pins.values()), axis=1)
@@ -206,18 +223,26 @@ def _process_chunk(
     return rows, float(loss.sum())
 
 
-def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int):
-    """Refuse a batch whose estimated peak use exceeds physical memory."""
+def _buffer_shape(cone: ConeProgram, batch_size: int) -> tuple[int, int]:
+    """Shape of each worker's tape and adjoint buffer: cone nets x chunk rows."""
+    return cone.circuit.num_nets, min(batch_size, _CHUNK_ROWS)
+
+
+def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
+    """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
     # Kept per row: V and the don't-care bits.  Once: a block of the draw.  Per
-    # worker and chunk row: the tape, the adjoint and a few cone-sized temporaries.
-    k, nets, b = len(cone.input_cols), cone.circuit.num_nets, config.batch_size
-    need = b * (9 * n - k) + min(b, _CHUNK_ROWS) * 8 * (n + workers * (2 * nets + 6 * k))
+    # worker: the tape and adjoint buffers and a few cone-sized temporaries.
+    k, b = len(cone.input_cols), config.batch_size
+    rows = min(b, _CHUNK_ROWS)
+    pair = 2 * 8 * math.prod(_buffer_shape(cone, b))
+    need = b * (9 * n - k) + rows * 8 * n + workers * (pair + rows * 8 * 6 * k)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
             f"batch of {b} rows needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
+    return need
 
 
 def run_sampling(
@@ -259,8 +284,13 @@ def run_sampling(
     for i, c in enumerate(cone.input_cols):
         VT[i] = VT[c]
     U = VT[: len(cone.input_cols)]
+    # One (tape, adjoint) pair per worker, reused by every chunk of the run.
+    shape = _buffer_shape(cone, config.batch_size)
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty(shape), np.empty(shape)))
     step = functools.partial(
-        _process_chunk, cone, ConstraintSet(cone.pins), config.learning_rate, free_cols
+        _process_chunk, cone, ConstraintSet(cone.pins), config.learning_rate, free_cols, buffers
     )
     Us = [U[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
     frees = [free_bits[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
@@ -275,11 +305,20 @@ def run_sampling(
             loss_sum = 0.0
             for hard_ok, chunk_loss in results:  # chunk order fixed => deterministic
                 loss_sum += chunk_loss
-                # One key per row, compared as a single void scalar; bytes
-                # copied out so an empty chunk needs no strides.
+                # Keys padded to whole uint64 words; a stable sort over the
+                # words puts each key's first row first among its repeats.
                 packed = np.packbits(hard_ok[:, key_cols], axis=1)
-                keys = np.frombuffer(packed.tobytes(), dtype=f"V{packed.shape[1]}")
-                first = np.sort(np.unique(keys, return_index=True)[1])
+                width = packed.shape[1]
+                words = np.zeros((len(packed), -(-width // 8) * 8), dtype=np.uint8)
+                words[:, :width] = packed
+                words = words.view(np.uint64)
+                order = np.lexsort(words.T)
+                words = words[order]
+                starts = np.ones(len(order), dtype=bool)
+                starts[1:] = np.any(words[1:] != words[:-1], axis=1)
+                first = np.sort(order[starts])
+                # One void scalar per key; bytes copied out so an empty chunk needs no strides.
+                keys = np.frombuffer(packed.tobytes(), dtype=f"V{width}")
                 for i, key in zip(first.tolist(), keys[first].tolist()):
                     if key not in result.solutions:
                         # The hardened row the oracle checked, don't-cares included.

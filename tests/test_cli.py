@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from circsat import cli
 from circsat.cli import main
 
 from helpers import DATA
@@ -39,6 +40,9 @@ def and_not(tmp_path):
 def verify(d, circuit, pins, solutions):
     return run("verify", "--circuit", str(d / circuit), "--constraints", str(d / pins),
                "--solutions", str(d / solutions))
+
+
+NOT_UTF8 = b"\xff\xfe23 1\n"  # 0xff never starts a UTF-8 sequence
 
 
 def sample_args(d, circuit, pins, **over):
@@ -140,6 +144,24 @@ class TestSample:
         assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{"--threads": "-3"})) == 2
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--init-range", "inf")])
+    def test_non_finite_lr_or_init_range_is_input_error(self, c17, capsys, flag, value):
+        assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{flag: value})) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not (c17 / "solutions.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    def test_missing_output_directory_is_input_error_before_sampling(
+        self, c17, capsys, monkeypatch, flag
+    ):
+        def no_run(*args):
+            raise AssertionError("sampled although the output cannot be written")
+
+        monkeypatch.setattr(cli, "run_sampling", no_run)
+        target = c17 / "missing" / "dir" / "x.txt"
+        assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{flag: target})) == 2
+        assert f"directory '{target.parent}'" in capsys.readouterr().err
+
     def test_emit_all_inputs_header(self, c15):
         argv = sample_args(c15, "c15.v", "g19.txt", **{"--batch": "500", "--iters": "2"})
         assert run(*argv, "--emit-all-inputs") == 0
@@ -198,6 +220,17 @@ class TestVerify:
             "--solutions", str(c15 / "short.txt"),
         ) == 2
 
+
+    def test_non_utf8_solutions_is_input_error(self, and_not, capsys):
+        (and_not / "sol.txt").write_bytes(NOT_UTF8)
+        assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 2
+        assert "sol.txt: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_circuit_is_input_error(self, and_not, capsys):
+        (and_not / "bad.bench").write_bytes(NOT_UTF8)
+        (and_not / "sol.txt").write_text("a,b\n10\n")
+        assert verify(and_not, "bad.bench", "z1.txt", "sol.txt") == 2
+        assert "bad.bench: not UTF-8 text" in capsys.readouterr().err
 
     def test_header_missing_cone_input_is_input_error(self, and_not, capsys):
         # Filling the missing b with 0 would make the row pass.
@@ -265,6 +298,13 @@ class TestExportCnf:
         body = [ln for ln in out.read_text().splitlines() if ln and ln[0] not in "cp"]
         assert all(len(ln.split()) > 2 for ln in body)  # no unit clauses
 
+    def test_non_utf8_constraints_is_input_error(self, c17, capsys):
+        (c17 / "bad.txt").write_bytes(NOT_UTF8)
+        code = run("export-cnf", "--circuit", str(c17 / "c17.bench"),
+                   "--constraints", str(c17 / "bad.txt"))
+        assert code == 2
+        assert "bad.txt: not UTF-8 text" in capsys.readouterr().err
+
     def test_parse_error_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.bench"
         bad.write_text("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
@@ -286,6 +326,11 @@ class TestInfo:
         assert run("info", "--circuit", str(p), "--json") == 0
         info = json.loads(capsys.readouterr().out)
         assert (info["inputs"], info["outputs"], info["gates"]) == (1, 1, 1)
+
+    def test_non_utf8_circuit_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "bad.bench").write_bytes(NOT_UTF8)
+        assert run("info", "--circuit", str(tmp_path / "bad.bench")) == 2
+        assert "bad.bench: not UTF-8 text" in capsys.readouterr().err
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.v"

@@ -88,6 +88,59 @@ def test_program_equals_whole_circuit_at_every_cone_net(circuit_seed, n_inputs, 
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    n_inputs=st.integers(1, 7),
+    n_gates=st.integers(1, 30),
+    b=st.integers(1, 20),
+    spare=st.integers(0, 5),
+)
+def test_passes_into_reused_buffers_equal_allocating_passes(circuit_seed, n_inputs, n_gates, b, spare):
+    # The sampler hands forward and backward one (nets, chunk rows) buffer
+    # pair for a whole run; a short chunk uses its leading columns.
+    rng = np.random.default_rng(circuit_seed)
+    c = random_circuit(rng, n_inputs=n_inputs, n_gates=n_gates)
+    net = int(rng.integers(c.num_nets))
+    cone = c.compile(ConstraintSet({net: int(rng.integers(0, 2))}))
+    P = probabilities(rng, b, c.num_inputs)
+    seed = rng.normal(size=b)
+    cases = [(c, P, net), (cone.circuit, P[:, cone.input_cols], next(iter(cone.pins)))]
+    for circuit, probs, pin in cases:
+        tape = forward(circuit, probs)
+        grad = backward(circuit, tape, {pin: seed})
+        tape_buf = np.full((circuit.num_nets, b + spare), np.nan)
+        adj_buf = np.full((circuit.num_nets, b + spare), np.nan)
+        for _ in range(2):  # the second pass finds the first one's values in the buffers
+            into = forward(circuit, probs, out=tape_buf)
+            assert np.shares_memory(into.values, tape_buf)
+            assert into.values.tobytes() == tape.values.tobytes()
+            grad_into = backward(circuit, into, {pin: seed}, out=adj_buf)
+            assert not np.shares_memory(grad_into, adj_buf)
+            assert grad_into.tobytes() == grad.tobytes()
+        assert np.isnan(tape_buf[:, b:]).all() and np.isnan(adj_buf[:, b:]).all()
+
+
+def test_forward_into_a_buffer_zeroes_undriven_nets():
+    # u is neither an input nor driven: the allocating forward gives it 0.
+    c = Circuit(["a", "u", "y"], [0], [2], [Gate(GateKind.AND, (0, 1), 2)])
+    P = np.array([[0.25], [1.0]])
+    buf = np.full((3, 2), np.nan)
+    assert forward(c, P, out=buf).values.tobytes() == forward(c, P).values.tobytes()
+    assert np.all(buf[1] == 0.0)
+
+
+def test_buffers_of_the_wrong_shape_are_refused():
+    c = random_circuit(np.random.default_rng(3), n_inputs=3, n_gates=4)
+    P = np.full((5, 3), 0.5)
+    tape = forward(c, P)
+    for shape in [(c.num_nets - 1, 5), (c.num_nets, 4)]:
+        with pytest.raises(CircuitError, match="buffer of shape"):
+            forward(c, P, out=np.empty(shape))
+        with pytest.raises(CircuitError, match="buffer of shape"):
+            backward(c, tape, {c.num_nets - 1: np.ones(5)}, out=np.empty(shape))
+
+
 def _clipped_forward(circuit, P):
     """The relaxed forward written out per kind, clipping every gate output to [0, 1]."""
     values = np.zeros((circuit.num_nets, P.shape[0]))

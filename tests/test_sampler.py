@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from circsat import (
     loss_and_grad,
     run_sampling,
 )
-from circsat import sampler
+from circsat import backward, forward, sampler
 from circsat.sampler import EmbeddingMatrix, _sigmoid
 
 from helpers import brute_force_solutions, load, random_circuit, reference_sampling
@@ -316,6 +318,75 @@ class TestRunSampling:
         assert [row.tolist() for row in r.solutions.values()] == rows
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_short_last_chunk_reuses_one_buffer_pair_per_worker(self, monkeypatch, threads):
+        # 61 rows in chunks of 8: seven full chunks and a last one of 5 rows,
+        # which writes into the leading columns of a buffer a full chunk used.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        tapes, adjoints = [], []
+
+        def record(fn, seen):
+            def wrapper(*args, out):
+                seen.append((out, args[1].shape[0] if fn is forward else args[1].batch_size))
+                return fn(*args, out=out)
+            return wrapper
+
+        monkeypatch.setattr(sampler, "forward", record(forward, tapes))
+        monkeypatch.setattr(sampler, "backward", record(backward, adjoints))
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        cfg = SamplerConfig(batch_size=61, iterations=5, seed=2, threads=threads)
+        r = run_sampling(c, cs, cfg)
+        keys, rows, counts = reference_sampling(c, cs, cfg)
+        assert list(r.solutions) == keys
+        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
+
+        nets = c.compile(cs).circuit.num_nets
+        for seen in (tapes, adjoints):
+            assert len(seen) == 8 * cfg.iterations  # once per chunk
+            assert sorted(b for _, b in seen) == sorted([8] * 35 + [5] * 5)
+            assert all(buf.shape == (nets, 8) for buf, _ in seen)
+        tape_ids = {id(buf) for buf, _ in tapes}
+        adjoint_ids = {id(buf) for buf, _ in adjoints}
+        assert 1 <= len(tape_ids) <= threads and 1 <= len(adjoint_ids) <= threads
+        assert not tape_ids & adjoint_ids
+
+    def test_buffer_pairs_hold_under_many_threads_switching_often(self, monkeypatch):
+        # Six workers on two or more cores share the queue of buffer pairs; a
+        # pair used by two chunks at once would change their gradients.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 5)
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        cfg = dict(batch_size=600, iterations=4, seed=9)
+        serial = run_sampling(c, cs, SamplerConfig(**cfg, threads=1))
+        runs = []
+        worker = threading.Thread(
+            target=lambda: runs.append(run_sampling(c, cs, SamplerConfig(**cfg, threads=6)))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(runs) == 1
+        assert list(runs[0].solutions) == list(serial.solutions)
+        assert np.array_equal(runs[0].full_rows(), serial.full_rows())
+        assert [s.loss_mean for s in runs[0].stats] == [s.loss_mean for s in serial.stats]
+
+    @pytest.mark.parametrize("batch", [1, 8191, 8192, 8193, 100_000])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_memory_estimate_covers_v_dont_cares_and_buffers(self, batch, workers):
+        c = load("c17.bench")
+        cone = c.compile(ConstraintSet.from_names(c, {"22": 0}))
+        n, k = c.num_inputs, len(cone.input_cols)
+        cfg = SamplerConfig(batch_size=batch)
+        pair = 2 * cone.circuit.num_nets * min(batch, 8192) * 8
+        need = sampler._check_memory(cfg, cone, n, workers)
+        assert need >= batch * n * 8 + batch * (n - k) + workers * pair
+
     def test_absurd_batch_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew embeddings for a batch that cannot fit")
@@ -386,6 +457,18 @@ def test_config_validation():
         SamplerConfig(batch_size=4, dedup_scope="weird")
     with pytest.raises(ValueError):
         SamplerConfig(batch_size=4, threads=-3)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("learning_rate", float("nan")), ("learning_rate", float("inf")),
+     ("learning_rate", float("-inf")), ("init_range", float("nan")),
+     ("init_range", float("inf")), ("init_range", 1e308)],
+)
+def test_non_finite_rate_and_range_rejected(field, value):
+    # 1e308 is finite, but Uniform[-a, a] spans 2e308, which overflows.
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SamplerConfig(batch_size=4, **{field: value})
 
 
 @settings(max_examples=40, deadline=None)
