@@ -48,8 +48,20 @@ def _solutions_text(result: SolutionSet, emit_all_inputs: bool) -> str:
     else:
         header = ",".join(result.input_names)
         rows = result.cone_rows()
-    lines = [header] + [row.tobytes().decode() for row in rows + ord("0")]
-    return "\n".join(lines) + "\n"
+    # One '0'/'1' byte per bit and a newline column, decoded in one pass.
+    text = np.empty((len(rows), rows.shape[1] + 1), dtype=np.uint8)
+    np.add(rows, ord("0"), out=text[:, :-1])
+    text[:, -1] = ord("\n")
+    return header + "\n" + text.tobytes().decode()
+
+
+def _unwritable(path: Path) -> str | None:
+    """Why an output file cannot be created at `path`, or None."""
+    if not path.parent.is_dir():
+        return f"directory '{path.parent}' of '{path}' does not exist"
+    if path.is_dir():
+        return f"'{path}' is a directory"
+    return None
 
 
 def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
@@ -74,6 +86,7 @@ def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
                 "cumulative_unique": s.cumulative_unique,
                 "elapsed_ms": s.elapsed_ms,
                 "loss_mean": s.loss_mean,
+                "satisfied_rows": s.satisfied_rows,
             }
             for s in result.stats
         ],
@@ -97,8 +110,8 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     for path in (Path(args.out), Path(args.stats)):
-        if not path.parent.is_dir():
-            print(f"error: directory '{path.parent}' of '{path}' does not exist", file=sys.stderr)
+        if problem := _unwritable(path):
+            print(f"error: {problem}", file=sys.stderr)
             return EXIT_INPUT
     t0 = time.perf_counter()
     try:
@@ -173,6 +186,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_cnf(args) -> int:
+    if args.out and (problem := _unwritable(Path(args.out))):
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         circuit = parse_file(args.circuit, args.format)
         constraints = None
@@ -297,6 +313,7 @@ def cmd_bench(args) -> int:
                     "iteration": s.iteration,
                     "new_unique": s.new_unique,
                     "cumulative_unique": s.cumulative_unique,
+                    "satisfied_rows": s.satisfied_rows,
                     "elapsed_ms": round(s.elapsed_ms, 3),
                     "cumulative_ms": round(cum_ms, 3),
                     "throughput_per_s": round(

@@ -14,8 +14,11 @@ chunks of rows, and successive draws continue the stream, so a batch is a
 prefix of any larger batch.  The sampler keeps V input-major, moves the cone
 rows to the front and steps them in place; of the other rows it keeps only
 the hardened bits.  Each worker reuses one tape and one adjoint buffer for
-every chunk of the run.  Chunks are harvested in a fixed order, so results do
-not depend on chunking or worker count.
+every chunk of the run.  The oracle checks every row after every step, but a
+row that met the pins after the last step and kept its cone bits is a fixed
+point whose key was already looked up, so it is not re-harvested.  Chunks are
+harvested in a fixed order, so results do not depend on chunking or worker
+count.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ class IterationStats:
     cumulative_unique: int
     elapsed_ms: float
     loss_mean: float
+    satisfied_rows: int  # rows that met the pins after the step, repeats included
 
 
 @dataclass
@@ -199,13 +203,18 @@ def _process_chunk(
     buffers: queue.SimpleQueue,
     U: np.ndarray,
     free_bits: np.ndarray,
-) -> tuple[np.ndarray, float]:
+    met: np.ndarray,
+) -> tuple[np.ndarray, float, int]:
     """One GD step on a chunk's input-major cone rows U (in place).
 
     `pins` are the program's pins, `buffers` the run's (tape, adjoint) pairs
-    and `free_bits` the chunk's input-major don't-care bits; returns
-    (satisfied full rows, loss sum), neither of which aliases a buffer.
+    and `free_bits` the chunk's input-major don't-care bits.  `met` holds,
+    per row, whether it met the pins after the last step; it is updated in
+    place.  Returns (full rows that met the pins and may hold a key not yet
+    looked up, loss sum, rows that met the pins), none of which aliases a
+    buffer.
     """
+    before = U >= 0.0  # the cone bits the last step hardened
     emb = EmbeddingMatrix(V=U.T, cone_mask=np.ones(len(U), dtype=bool))
     pair = buffers.get()
     try:
@@ -217,10 +226,14 @@ def _process_chunk(
     hard = harden(emb.V)
     got = cone.circuit.eval_batch(hard, nets=list(cone.pins))
     ok = np.all(got == list(cone.pins.values()), axis=1)
-    rows = np.empty((int(ok.sum()), len(cone.input_cols) + len(free_cols)), dtype=np.uint8)
-    rows[:, cone.input_cols] = hard[ok]  # the cone bits as checked
-    rows[:, free_cols] = free_bits[:, ok].T  # the don't-care bits as drawn
-    return rows, float(loss.sum())
+    # A row that met the pins last step with the same cone bits was harvested
+    # then, and its don't-care bits never change: its key is already known.
+    new = ok & ~(met & np.all(hard.T == before, axis=0))
+    met[:] = ok
+    rows = np.empty((int(new.sum()), len(cone.input_cols) + len(free_cols)), dtype=np.uint8)
+    rows[:, cone.input_cols] = hard[new]  # the cone bits as checked
+    rows[:, free_cols] = free_bits[:, new].T  # the don't-care bits as drawn
+    return rows, float(loss.sum()), int(ok.sum())
 
 
 def _buffer_shape(cone: ConeProgram, batch_size: int) -> tuple[int, int]:
@@ -230,12 +243,13 @@ def _buffer_shape(cone: ConeProgram, batch_size: int) -> tuple[int, int]:
 
 def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
     """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
-    # Kept per row: V and the don't-care bits.  Once: a block of the draw.  Per
-    # worker: the tape and adjoint buffers and a few cone-sized temporaries.
+    # Kept per row: V, the don't-care bits and whether the row met the pins.
+    # Once: a block of the draw.  Per worker: the tape and adjoint buffers and
+    # a few cone-sized temporaries.
     k, b = len(cone.input_cols), config.batch_size
     rows = min(b, _CHUNK_ROWS)
     pair = 2 * 8 * math.prod(_buffer_shape(cone, b))
-    need = b * (9 * n - k) + rows * 8 * n + workers * (pair + rows * 8 * 6 * k)
+    need = b * (9 * n - k + 1) + rows * 8 * n + workers * (pair + rows * 8 * 6 * k)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
@@ -294,17 +308,22 @@ def run_sampling(
     )
     Us = [U[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
     frees = [free_bits[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
+    # Per row: met the pins after the last step.  Chunks own disjoint slices.
+    met = np.zeros(config.batch_size, dtype=bool)
+    mets = [met[lo : lo + _CHUNK_ROWS] for lo in chunks]
     pool = ThreadPoolExecutor(max_workers=workers) if config.threads != 1 else None
     try:
         for it in range(1, config.iterations + 1):
             t0 = time.perf_counter()
             # Lazy: a chunk's rows are harvested, then dropped, as soon as it is done.
-            results = pool.map(step, Us, frees) if pool else map(step, Us, frees)
+            results = pool.map(step, Us, frees, mets) if pool else map(step, Us, frees, mets)
 
             new_unique = 0
             loss_sum = 0.0
-            for hard_ok, chunk_loss in results:  # chunk order fixed => deterministic
+            satisfied = 0
+            for hard_ok, chunk_loss, chunk_ok in results:  # chunk order fixed => deterministic
                 loss_sum += chunk_loss
+                satisfied += chunk_ok
                 # Keys padded to whole uint64 words; a stable sort over the
                 # words puts each key's first row first among its repeats.
                 packed = np.packbits(hard_ok[:, key_cols], axis=1)
@@ -332,6 +351,7 @@ def run_sampling(
                     cumulative_unique=len(result.solutions),
                     elapsed_ms=elapsed_ms,
                     loss_mean=loss_sum / config.batch_size,
+                    satisfied_rows=satisfied,
                 )
             )
     finally:

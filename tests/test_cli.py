@@ -1,10 +1,13 @@
+import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from circsat import cli
 from circsat.cli import main
+from circsat.sampler import SolutionSet
 
 from helpers import DATA
 
@@ -162,11 +165,56 @@ class TestSample:
         assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{flag: target})) == 2
         assert f"directory '{target.parent}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    def test_output_naming_a_directory_is_input_error_before_sampling(
+        self, c17, capsys, monkeypatch, flag
+    ):
+        def no_run(*args):
+            raise AssertionError("sampled although the output cannot be written")
+
+        monkeypatch.setattr(cli, "run_sampling", no_run)
+        target = c17 / "a_dir"
+        target.mkdir()
+        assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{flag: target})) == 2
+        assert f"'{target}' is a directory" in capsys.readouterr().err
+
+    def test_stats_carry_satisfied_rows(self, c17):
+        argv = sample_args(c17, "c17.bench", "pin2.txt", **{"--batch": "800", "--iters": "3"})
+        assert run(*argv) == 0
+        stats = json.loads((c17 / "stats.json").read_text())["iterations"]
+        assert all(it["new_unique"] <= it["satisfied_rows"] <= 800 for it in stats)
+        assert stats[-1]["satisfied_rows"] > 0
+
     def test_emit_all_inputs_header(self, c15):
         argv = sample_args(c15, "c15.v", "g19.txt", **{"--batch": "500", "--iters": "2"})
         assert run(*argv, "--emit-all-inputs") == 0
         header = (c15 / "solutions.txt").read_text().splitlines()[0]
         assert header == "G1,G2,G3,G6,G7"
+
+
+def per_row_text(result, emit_all_inputs):
+    """The solutions file written one decoded row at a time."""
+    if emit_all_inputs or result.dedup_scope == "all":
+        header, rows = ",".join(result.all_input_names), result.full_rows()
+    else:
+        header, rows = ",".join(result.input_names), result.cone_rows()
+    lines = [header] + [row.tobytes().decode() for row in rows + ord("0")]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("emit_all_inputs", [False, True])
+@pytest.mark.parametrize("scope", ["cone", "all"])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_solutions_text_equals_per_row_formula(count, scope, emit_all_inputs):
+    rng = np.random.default_rng(count)
+    rows = rng.integers(0, 2, size=(count, 5), dtype=np.uint8)
+    result = SolutionSet(
+        input_names=["b", "d", "e"], all_input_names=list("abcde"), cone_cols=[1, 3, 4],
+        dedup_scope=scope, solutions={bytes([k]): row for k, row in enumerate(rows)},
+    )
+    text = cli._solutions_text(result, emit_all_inputs)
+    assert text == per_row_text(result, emit_all_inputs)
+    assert len(text.splitlines()) == 1 + count
 
 
 class TestVerify:
@@ -292,6 +340,16 @@ class TestExportCnf:
         body = [ln for ln in text.splitlines() if ln and not ln[0] in "cp"]
         assert len(body) == int(nclauses)
 
+    def test_out_in_missing_directory_is_input_error(self, c17, capsys):
+        target = c17 / "missing" / "x.cnf"
+        assert run("export-cnf", "--circuit", str(c17 / "c17.bench"), "--out", str(target)) == 2
+        assert f"directory '{target.parent}'" in capsys.readouterr().err
+        assert not target.parent.exists()
+
+    def test_out_naming_a_directory_is_input_error(self, c17, capsys):
+        assert run("export-cnf", "--circuit", str(c17 / "c17.bench"), "--out", str(c17)) == 2
+        assert f"'{c17}' is a directory" in capsys.readouterr().err
+
     def test_no_constraints_means_no_unit_pins(self, c17):
         out = c17 / "c17.cnf"
         assert run("export-cnf", "--circuit", str(c17 / "c17.bench"), "--out", str(out)) == 0
@@ -389,6 +447,17 @@ class TestBench:
         assert [{k: it[k] for k in keys} for it in bench_stats["iterations"]] == [
             {k: it[k] for k in keys} for it in sample_stats["iterations"]
         ]
+
+    def test_rows_carry_satisfied_rows(self, c17):
+        manifest = {"cells": [{"circuit": "c17.bench", "constraints": "pin2.txt",
+                               "batch": 700, "lr": 15, "iters": 3, "seed": 4}]}
+        (c17 / "manifest.json").write_text(json.dumps(manifest))
+        assert run("bench", "--manifest", str(c17 / "manifest.json"),
+                   "--out-dir", str(c17 / "out")) == 0
+        stats = json.loads((c17 / "out" / "cell000.stats.json").read_text())["iterations"]
+        with open(c17 / "out" / "bench.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["satisfied_rows"]) for r in rows] == [it["satisfied_rows"] for it in stats]
 
     def test_failed_cell_gives_exit_4_and_continues(self, c17):
         manifest = {

@@ -1,3 +1,4 @@
+import queue
 import sys
 import threading
 import warnings
@@ -446,6 +447,110 @@ class TestRunSampling:
         r1 = run_sampling(c, cs, cfg)
         r2 = run_sampling(c, cs, cfg)
         assert np.array_equal(r1.full_rows(), r2.full_rows())
+
+
+class TestHarvestOnlyChangedRows:
+    """A row that met the pins last step and kept its cone bits is not re-harvested."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_c17_matches_reference_and_hands_back_fewer_rows(self, monkeypatch, threads):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 1024)  # three chunks
+        handed = []
+        real = sampler._process_chunk
+
+        def spy(*args):
+            rows, loss, satisfied = real(*args)
+            handed.append(len(rows))
+            return rows, loss, satisfied
+
+        monkeypatch.setattr(sampler, "_process_chunk", spy)
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1})
+        cfg = SamplerConfig(batch_size=3000, iterations=6, seed=3, threads=threads)
+        r = run_sampling(c, cs, cfg)
+        keys, rows, counts = reference_sampling(c, cs, cfg)
+        assert list(r.solutions) == keys
+        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
+
+        # Every iteration's chunks finish before the next iteration starts.
+        per_iter = np.array(handed).reshape(cfg.iterations, 3).sum(axis=1)
+        satisfied = [s.satisfied_rows for s in r.stats]
+        assert per_iter[0] == satisfied[0]
+        for it in range(1, cfg.iterations):
+            assert r.stats[it].new_unique <= per_iter[it] < satisfied[it]
+
+    def test_row_that_stays_satisfied_but_changes_bits_is_harvested(self, monkeypatch):
+        # z = OR(a, b) pinned to 1.  The one row hardens to (1, 0) after the
+        # first step; the second step pushes b across 0, giving (1, 1).
+        c = Circuit(["a", "b", "z"], [0, 1], [2], [Gate(GateKind.OR, (0, 1), 2)])
+        cs = ConstraintSet.from_names(c, {"z": 1})
+        V0 = np.array([[1.0, -0.4]])
+        monkeypatch.setattr(
+            sampler, "init_embeddings",
+            lambda *args: EmbeddingMatrix(V=V0.copy(), cone_mask=np.ones(2, dtype=bool)),
+        )
+        r = run_sampling(c, cs, SamplerConfig(batch_size=1, iterations=3))
+        assert [row.tolist() for row in r.solutions.values()] == [[1, 0], [1, 1]]
+        assert [(s.new_unique, s.satisfied_rows) for s in r.stats] == [(1, 1), (1, 1), (0, 1)]
+
+    @pytest.mark.parametrize("met_before", [False, True])
+    def test_step_stores_which_rows_met_the_pins(self, met_before):
+        # The state read before the step is replaced by the oracle's verdict
+        # after it, also for rows that met the pins last step and fail now.
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        cone = c.compile(cs)
+        k, b = len(cone.input_cols), 400
+        U = np.random.default_rng(6).uniform(-1, 1, size=(k, b))
+        before = U >= 0
+        free_cols = sorted(set(range(c.num_inputs)) - set(cone.input_cols))
+        free_bits = np.zeros((len(free_cols), b), dtype=np.uint8)
+        met = np.full(b, met_before)
+        buffers = queue.SimpleQueue()
+        buffers.put((np.empty((cone.circuit.num_nets, b)), np.empty((cone.circuit.num_nets, b))))
+        rows, _, satisfied = sampler._process_chunk(
+            cone, ConstraintSet(cone.pins), 15.0, free_cols, buffers, U, free_bits, met
+        )
+        want = list(cone.pins.values())
+        ok = np.all(cone.circuit.eval_batch(harden(U.T), nets=list(cone.pins)) == want, axis=1)
+        assert 0 < ok.sum() < b
+        assert np.array_equal(met, ok) and satisfied == ok.sum()
+        changed = np.any((U >= 0) != before, axis=0)
+        assert len(rows) == (ok & (changed | (not met_before))).sum()
+
+
+class TestSatisfiedRows:
+    @pytest.mark.parametrize("scope", ["cone", "all"])
+    def test_counts_rows_meeting_the_pins_whatever_the_chunking(self, monkeypatch, scope):
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        cone = c.compile(cs)
+        want = list(cone.pins.values())
+        real = Circuit.eval_batch
+        seen = []
+
+        def counting(self, inputs, nets=None):
+            got = real(self, inputs, nets=nets)
+            seen.append(int(np.all(got == want, axis=1).sum()))
+            return got
+
+        monkeypatch.setattr(Circuit, "eval_batch", counting)
+        runs = []
+        for chunk_rows, chunks in ((7, 86), (8192, 1)):
+            monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+            for threads in (1, 3):
+                seen.clear()
+                cfg = SamplerConfig(batch_size=600, iterations=5, seed=8,
+                                    dedup_scope=scope, threads=threads)
+                r = run_sampling(c, cs, cfg)
+                counted = np.array(seen).reshape(cfg.iterations, chunks).sum(axis=1)
+                satisfied = [s.satisfied_rows for s in r.stats]
+                assert satisfied == counted.tolist()
+                assert all(s.new_unique <= s.satisfied_rows <= cfg.batch_size for s in r.stats)
+                runs.append(satisfied)
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][-1] > 0
 
 
 def test_config_validation():
