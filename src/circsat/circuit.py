@@ -2,7 +2,8 @@
 
 Nets are referenced by dense integer ids; names are kept alongside for
 diagnostics and file I/O.  A Circuit is immutable after construction and safe
-to share across threads.
+to share across threads.  Cycles are found in one place: `topo_order` names
+one when its sort gets stuck, and `validate` reports that as a diagnostic.
 """
 
 from __future__ import annotations
@@ -154,7 +155,10 @@ class Circuit:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Return one diagnostic string per invariant violation (empty = valid)."""
+        """Return one diagnostic string per invariant violation (empty = valid).
+
+        A cycle is reported through `topo_order`, whose order is then cached.
+        """
         diags: list[str] = []
         input_set = set(self.primary_inputs)
         driven: dict[int, list[int]] = {}
@@ -184,48 +188,19 @@ class Circuit:
         for net in self.primary_outputs:
             if net not in input_set and net not in driven:
                 diags.append(f"dangling net: primary output '{self.names[net]}' has no driver")
-        cycle = self._find_cycle()
-        if cycle is not None:
-            diags.append("cycle: " + " -> ".join(self.names[n] for n in cycle))
+        try:
+            self.topo_order()
+        except CircuitError as exc:
+            diags.append(str(exc))
         return diags
-
-    def _find_cycle(self) -> list[int] | None:
-        # Iterative DFS over the net graph (edge: gate input -> gate output).
-        color: dict[int, int] = {}  # 0 unseen, 1 on stack, 2 done
-        parent: dict[int, int] = {}
-        for start in (g.output for g in self.gates):
-            if color.get(start, 0):
-                continue
-            stack = [(start, 0)]
-            while stack:
-                net, phase = stack.pop()
-                if phase == 0:
-                    color[net] = 1
-                    stack.append((net, 1))
-                    gi = self.driver.get(net)
-                    if gi is None:
-                        continue
-                    for src in self.gates[gi].inputs:
-                        c = color.get(src, 0)
-                        if c == 1:
-                            # Walk parents back from net to src.
-                            path = [src, net]
-                            cur = net
-                            while cur != src:
-                                cur = parent[cur]
-                                path.append(cur)
-                            return path
-                        if c == 0:
-                            parent[src] = net
-                            stack.append((src, 0))
-                else:
-                    color[net] = 2
-        return None
 
     # -- topological order ------------------------------------------------
 
     def topo_order(self) -> list[int]:
-        """Gate indices in dependency order, ties broken by ascending index."""
+        """Gate indices in dependency order, ties broken by ascending index.
+
+        Raises CircuitError naming the nets of one cycle if there is one.
+        """
         if self._topo is not None:
             return self._topo
         input_set = set(self.primary_inputs)
@@ -250,9 +225,20 @@ class Circuit:
                 if indeg[dep] == 0:
                     heapq.heappush(ready, dep)
         if len(order) != len(self.gates):
-            cyc = self._find_cycle()
-            names = " -> ".join(self.names[n] for n in cyc) if cyc else "?"
-            raise CircuitError(f"circuit contains a cycle: {names}")
+            # Every gate left over has an input driven by another left-over
+            # gate, so walking back along such inputs revisits a gate; the
+            # stretch from its first visit is a cycle.
+            left = {gi for gi, d in enumerate(indeg) if d}
+            path: list[int] = []
+            at: dict[int, int] = {}  # gate -> its position in path
+            gi = min(left)
+            while gi not in at:
+                at[gi] = len(path)
+                path.append(gi)
+                gi = next(self.driver[n] for n in self.gates[gi].inputs
+                          if n not in input_set and self.driver.get(n) in left)
+            cycle = [self.gates[g].output for g in reversed(path[at[gi]:])]
+            raise CircuitError("cycle: " + " -> ".join(self.names[n] for n in cycle + cycle[:1]))
         self._topo = order
         return order
 

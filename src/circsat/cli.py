@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import sys
@@ -27,15 +28,26 @@ EXIT_VERIFY = 3
 EXIT_BENCH_PARTIAL = 4
 
 
-def _config_from_args(args) -> SamplerConfig:
+# The sampling options of `sample` and of a bench cell, with their defaults.
+_DEFAULTS = {
+    "batch": 10000,
+    "lr": SamplerConfig.learning_rate,
+    "iters": SamplerConfig.iterations,
+    "seed": SamplerConfig.seed,
+    "init_range": SamplerConfig.init_range,
+    "dedup": SamplerConfig.dedup_scope,
+}
+
+
+def _config(opts: dict) -> SamplerConfig:
     return SamplerConfig(
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        iterations=args.iters,
-        seed=args.seed,
-        init_range=args.init_range,
-        dedup_scope=args.dedup,
-        threads=args.threads,
+        batch_size=opts["batch"],
+        learning_rate=opts["lr"],
+        iterations=opts["iters"],
+        seed=opts["seed"],
+        init_range=opts["init_range"],
+        dedup_scope=opts["dedup"],
+        threads=opts["threads"],
     )
 
 
@@ -79,17 +91,7 @@ def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
             "dedup": config.dedup_scope,
             "threads": config.threads,
         },
-        "iterations": [
-            {
-                "iteration": s.iteration,
-                "new_unique": s.new_unique,
-                "cumulative_unique": s.cumulative_unique,
-                "elapsed_ms": s.elapsed_ms,
-                "loss_mean": s.loss_mean,
-                "satisfied_rows": s.satisfied_rows,
-            }
-            for s in result.stats
-        ],
+        "iterations": [dataclasses.asdict(s) for s in result.stats],
         "total_unique": total,
         "wall_ms": wall_ms,
         "throughput_per_s": total / (wall_ms / 1000.0) if wall_ms > 0 else 0.0,
@@ -105,7 +107,7 @@ def cmd_sample(args) -> int:
     try:
         circuit = parse_file(args.circuit, args.format)
         constraints = parse_constraints(read_text(args.constraints), circuit)
-        config = _config_from_args(args)
+        config = _config(vars(args))
     except (ParseError, CircuitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -242,22 +244,19 @@ def cmd_info(args) -> int:
 
 
 def _expand_cells(manifest: dict, base: Path) -> list[dict]:
+    """One cell per point of the grid of list-valued options; null options take the default."""
     cells = []
+    grid_keys = ["lr", "seed", "batch", "iters"]
     for raw in manifest.get("cells", []):
-        grid_keys = ["lr", "seed", "batch", "iters"]
-        grids = {k: raw[k] if isinstance(raw.get(k), list) else [raw.get(k)] for k in grid_keys}
-        for lr, seed, batch, iters in itertools.product(*(grids[k] for k in grid_keys)):
+        grids = [raw[k] if isinstance(raw.get(k), list) else [raw.get(k)] for k in grid_keys]
+        for point in itertools.product(*grids):
+            opts = {k: raw.get(k) for k in _DEFAULTS} | dict(zip(grid_keys, point))
             cells.append(
                 {
                     "circuit": str(base / raw["circuit"]),
                     "constraints": str(base / raw["constraints"]),
                     "format": raw.get("format"),
-                    "batch": batch if batch is not None else 10000,
-                    "lr": lr if lr is not None else 15.0,
-                    "iters": iters if iters is not None else 10,
-                    "seed": seed if seed is not None else 0,
-                    "init_range": raw.get("init_range", 1.0),
-                    "dedup": raw.get("dedup", "cone"),
+                    **{k: _DEFAULTS[k] if v is None else v for k, v in opts.items()},
                 }
             )
     return cells
@@ -281,15 +280,7 @@ def cmd_bench(args) -> int:
         try:
             circuit = parse_file(cell["circuit"], cell["format"])
             constraints = parse_constraints(read_text(cell["constraints"]), circuit)
-            config = SamplerConfig(
-                batch_size=cell["batch"],
-                learning_rate=cell["lr"],
-                iterations=cell["iters"],
-                seed=cell["seed"],
-                init_range=cell["init_range"],
-                dedup_scope=cell["dedup"],
-                threads=args.threads,
-            )
+            config = _config({**cell, "threads": args.threads})
             t0 = time.perf_counter()
             result = run_sampling(circuit, constraints, config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -354,18 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="learn and emit satisfying input assignments")
     _add_circuit_args(p)
     p.add_argument("--constraints", required=True, help="pin file: '<net> <0|1>' lines")
-    p.add_argument("--batch", type=int, default=10000)
-    p.add_argument("--lr", type=float, default=15.0)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-range", type=float, default=1.0, dest="init_range")
-    p.add_argument("--dedup", choices=["cone", "all"], default="cone")
+    p.add_argument("--batch", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--init-range", type=float, dest="init_range")
+    p.add_argument("--dedup", choices=["cone", "all"])
     p.add_argument("--threads", type=int, default=1, help="0 = one per CPU")
     p.add_argument("--out", default="solutions.txt")
     p.add_argument("--stats", default="stats.json")
     p.add_argument("--emit-all-inputs", action="store_true",
                    help="emit all primary inputs (don't-cares as drawn from the seed)")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, **_DEFAULTS)
 
     p = sub.add_parser("verify", help="re-check a solutions file against the oracle")
     _add_circuit_args(p)

@@ -1,6 +1,9 @@
 """Netlist frontends: structural Verilog subset, BLIF subset and ISCAS .bench.
 
-All three parsers produce the same in-memory Circuit; writers for each format
+Each frontend only recognises its syntax and hands (inputs, outputs, gate
+sources) to one builder, which numbers the nets, rejects a duplicate driver
+or a bad fan-in at the gate's source line and validates the Circuit; so all
+three formats report such errors the same way.  Writers for each format
 support round-trip testing and format conversion.
 """
 
@@ -24,34 +27,38 @@ class ParseError(ValueError):
         self.col = col
 
 
-_VERILOG_KINDS = {
-    "not": GateKind.NOT,
-    "buf": GateKind.BUF,
-    "and": GateKind.AND,
-    "or": GateKind.OR,
-    "nand": GateKind.NAND,
-    "nor": GateKind.NOR,
-    "xor": GateKind.XOR,
-    "xnor": GateKind.XNOR,
-}
-
+_VERILOG_KINDS = {kind.value.lower(): kind for kind in GateKind if not kind.is_const}
 _BENCH_KINDS = {
-    "NOT": GateKind.NOT,
-    "BUFF": GateKind.BUF,
-    "AND": GateKind.AND,
-    "OR": GateKind.OR,
-    "NAND": GateKind.NAND,
-    "NOR": GateKind.NOR,
-    "XOR": GateKind.XOR,
-    "XNOR": GateKind.XNOR,
+    "BUFF" if kind is GateKind.BUF else kind.value: kind for kind in GateKind if not kind.is_const
 }
 
 
-def _finish(names, inputs, outputs, gates, where: str) -> Circuit:
-    circuit = Circuit(names, inputs, outputs, gates)
+def _build(order, inputs, outputs, gates_src) -> Circuit:
+    """The validated Circuit of one netlist, whatever its format.
+
+    Nets are numbered at first use: the names of `order`, then each gate's
+    output and inputs.  `gates_src` holds (kind, out, ins, line) per gate; a
+    gate that drives a net that is already driven (a primary input counts as
+    driven) or has the wrong fan-in is an error at its line.
+    """
+    ids: dict[str, int] = {}
+    for name in itertools.chain(order, *((out, *ins) for _, out, ins, _ in gates_src)):
+        ids.setdefault(name, len(ids))
+    driven = set(inputs)
+    gates: list[Gate] = []
+    for kind, out, ins, line in gates_src:
+        if out in driven:
+            raise ParseError(f"redefinition of net '{out}': duplicate driver", line)
+        driven.add(out)
+        if not kind.arity_ok(len(ins)):
+            raise ParseError(
+                f"arity violation: {kind.value} gate on '{out}' with {len(ins)} inputs", line
+            )
+        gates.append(Gate(kind, tuple(ids[n] for n in ins), ids[out]))
+    circuit = Circuit(list(ids), [ids[n] for n in inputs], [ids[n] for n in outputs], gates)
     diags = circuit.validate()
     if diags:
-        raise ParseError(f"{where}: invalid circuit: " + "; ".join(diags))
+        raise ParseError("invalid circuit: " + "; ".join(diags))
     return circuit
 
 
@@ -138,38 +145,21 @@ def parse_verilog(text: str) -> Circuit:
         tok, line, col = tokens[pos]
         raise ParseError(f"unexpected token '{tok}' after endmodule", line, col)
 
-    declared = set(declared_inputs) | set(declared_outputs) | set(declared_wires)
+    names = declared_inputs + declared_outputs + declared_wires
+    declared: set[str] = set()
+    for name in names:
+        if name in declared:
+            raise ParseError(f"net '{name}' declared more than once")
+        declared.add(name)
     for name in ports:
         if name not in declared:
             raise ParseError(f"port '{name}' is not declared as input or output")
-
-    names: list[str] = []
-    seen: set[str] = set()
-    for name in itertools.chain(declared_inputs, declared_outputs, declared_wires):
-        if name in seen:
-            raise ParseError(f"net '{name}' declared more than once")
-        seen.add(name)
-        names.append(name)
-    name_to_id = {n: i for i, n in enumerate(names)}
-
-    gates: list[Gate] = []
-    for kind, out, ins, line in gates_src:
+    for _, out, ins, line in gates_src:
         for name in [out, *ins]:
-            if name not in name_to_id:
+            if name not in declared:
                 raise ParseError(f"undeclared net '{name}'", line)
-        if not kind.arity_ok(len(ins)):
-            raise ParseError(
-                f"arity violation: {kind.value} gate on '{out}' with {len(ins)} inputs", line
-            )
-        gates.append(Gate(kind, tuple(name_to_id[n] for n in ins), name_to_id[out]))
 
-    return _finish(
-        names,
-        [name_to_id[n] for n in declared_inputs],
-        [name_to_id[n] for n in declared_outputs],
-        gates,
-        "verilog",
-    )
+    return _build(names, declared_inputs, declared_outputs, gates_src)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +175,11 @@ def _kinds_by_table(fan_in: int) -> dict[tuple[int, ...], GateKind]:
     return {tuple(kind.truth(bits) for bits in points): kind for kind in reversed(kinds)}
 
 
-def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int) -> GateKind:
-    """Canonicalize a single-output cover by truth-table matching."""
+def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int, lineno: int) -> GateKind:
+    """Canonicalize the single-output cover of the `.names` at `lineno` by truth-table matching."""
     out_vals = {out for _, out in lines}
     if len(out_vals) > 1:
-        raise ParseError("cover mixes output values 0 and 1")
+        raise ParseError("cover mixes output values 0 and 1", lineno)
     listed = int(out_vals.pop()) if out_vals else 1
 
     def covered(bits: tuple[int, ...]) -> bool:
@@ -203,7 +193,7 @@ def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int) -> GateKind:
     kind = _kinds_by_table(fan_in).get(table)
     if kind is None:
         raise ParseError(
-            f"unsupported cover: {fan_in}-input truth table matches no supported gate"
+            f"unsupported cover: {fan_in}-input truth table matches no supported gate", lineno
         )
     return kind
 
@@ -220,7 +210,7 @@ def parse_blif(text: str) -> Circuit:
     model_seen = False
     inputs: list[str] = []
     outputs: list[str] = []
-    covers: list[tuple[int, list[str], list[tuple[str, str]]]] = []
+    gates_src: list[tuple[GateKind, str, list[str], int]] = []
     i = 0
     while i < len(lines):
         lineno, line = lines[i]
@@ -254,7 +244,8 @@ def parse_blif(text: str) -> Circuit:
                     if len(fields[0]) != len(sig) - 1 or not set(fields[0]) <= set("01-"):
                         raise ParseError("bad cover pattern", cl)
                     cover.append((fields[0], fields[1]))
-            covers.append((lineno, sig, cover))
+            kind = _cover_to_kind(cover, len(sig) - 1, lineno)
+            gates_src.append((kind, sig[-1], sig[:-1], lineno))
         elif cmd == ".end":
             break
         elif cmd == ".latch":
@@ -269,32 +260,7 @@ def parse_blif(text: str) -> Circuit:
     if not outputs:
         raise ParseError("missing .outputs")
 
-    names: list[str] = []
-    name_to_id: dict[str, int] = {}
-
-    def net(name: str) -> int:
-        if name not in name_to_id:
-            name_to_id[name] = len(names)
-            names.append(name)
-        return name_to_id[name]
-
-    input_ids = [net(n) for n in inputs]
-    output_ids = [net(n) for n in outputs]
-
-    gates: list[Gate] = []
-    driven: set[int] = set()
-    for lineno, sig, cover in covers:
-        out = net(sig[-1])
-        ins = [net(n) for n in sig[:-1]]
-        if out in driven:
-            raise ParseError(f"duplicate driver for net '{sig[-1]}'", lineno)
-        driven.add(out)
-        kind = _cover_to_kind(cover, len(ins))
-        if kind.is_const:
-            ins = []
-        gates.append(Gate(kind, tuple(ins), out))
-
-    return _finish(names, input_ids, output_ids, gates, "blif")
+    return _build(inputs + outputs, inputs, outputs, gates_src)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +276,7 @@ _BENCH_LINE_RE = re.compile(
 def parse_bench(text: str) -> Circuit:
     inputs: list[str] = []
     outputs: list[str] = []
-    gates_src: list[tuple[str, str, list[str], int]] = []
+    gates_src: list[tuple[GateKind, str, list[str], int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -324,35 +290,13 @@ def parse_bench(text: str) -> Circuit:
             outputs.append(m.group(2))
         else:
             out, kw, args = m.group(3), m.group(4), m.group(5)
+            kind = _BENCH_KINDS.get(kw.upper())
+            if kind is None:
+                raise ParseError(f"unknown gate keyword '{kw}'", lineno)
             ins = [a.strip() for a in args.split(",") if a.strip()]
-            gates_src.append((out, kw, ins, lineno))
+            gates_src.append((kind, out, ins, lineno))
 
-    names: list[str] = []
-    name_to_id: dict[str, int] = {}
-
-    def net(name: str) -> int:
-        if name not in name_to_id:
-            name_to_id[name] = len(names)
-            names.append(name)
-        return name_to_id[name]
-
-    input_ids = [net(n) for n in inputs]
-    output_ids = [net(n) for n in outputs]
-    gates: list[Gate] = []
-    driven: set[int] = set(input_ids)
-    for out, kw, ins, lineno in gates_src:
-        kind = _BENCH_KINDS.get(kw.upper())
-        if kind is None:
-            raise ParseError(f"unknown gate keyword '{kw}'", lineno)
-        out_id = net(out)
-        if out_id in driven:
-            raise ParseError(f"redefinition of net '{out}'", lineno)
-        driven.add(out_id)
-        if not kind.arity_ok(len(ins)):
-            raise ParseError(f"arity violation: {kw}({len(ins)} args) for net '{out}'", lineno)
-        gates.append(Gate(kind, tuple(net(n) for n in ins), out_id))
-
-    return _finish(names, input_ids, output_ids, gates, "bench")
+    return _build(inputs + outputs, inputs, outputs, gates_src)
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,11 @@ class TestVerify:
         assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 2
         assert "duplicate header column 'a'" in capsys.readouterr().err
 
+    def test_header_column_that_is_not_an_input_is_input_error(self, and_not, capsys):
+        (and_not / "sol.txt").write_text("a,b,z\n101\n")
+        assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 2
+        assert "header column 'z' is not a primary input" in capsys.readouterr().err
+
     def test_reports_first_failing_line(self, and_not, capsys):
         (and_not / "sol.txt").write_text("b,a\n01\n11\n00\n")
         assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 3
@@ -368,6 +373,15 @@ class TestExportCnf:
         bad.write_text("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
         assert run("export-cnf", "--circuit", str(bad)) == 2
 
+    def test_without_out_writes_dimacs_to_stdout(self, c17, capsys):
+        assert run("export-cnf", "--circuit", str(c17 / "c17.bench")) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[:8] == [
+            "c input 1 1", "c input 2 2", "c input 3 3", "c input 6 4", "c input 7 5",
+            "c output 22 6", "c output 23 7", "p cnf 11 18",
+        ]
+        assert err == "11 variables, 18 clauses\n"
+
 
 class TestInfo:
     def test_c17_info_json(self, c17, capsys):
@@ -384,6 +398,13 @@ class TestInfo:
         assert run("info", "--circuit", str(p), "--json") == 0
         info = json.loads(capsys.readouterr().out)
         assert (info["inputs"], info["outputs"], info["gates"]) == (1, 1, 1)
+
+    def test_c17_info_text(self, c17, capsys):
+        assert run("info", "--circuit", str(c17 / "c17.bench")) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "inputs:     5", "outputs:    2", "gates:      6", "nets:       11",
+            "max fan-in: 2", "depth:      3", "  NAND   6",
+        ]
 
     def test_non_utf8_circuit_is_input_error(self, tmp_path, capsys):
         (tmp_path / "bad.bench").write_bytes(NOT_UTF8)
@@ -446,6 +467,27 @@ class TestBench:
         keys = ["new_unique", "cumulative_unique"]
         assert [{k: it[k] for k in keys} for it in bench_stats["iterations"]] == [
             {k: it[k] for k in keys} for it in sample_stats["iterations"]
+        ]
+
+    def test_cell_without_options_takes_the_sample_defaults(self, c17):
+        manifest = {"cells": [{"circuit": "c17.bench", "constraints": "pin2.txt",
+                               "init_range": None}]}
+        (c17 / "manifest.json").write_text(json.dumps(manifest))
+        assert run("bench", "--manifest", str(c17 / "manifest.json"),
+                   "--out-dir", str(c17 / "out")) == 0
+        bench_stats = json.loads((c17 / "out" / "cell000.stats.json").read_text())
+        assert run("sample", "--circuit", str(c17 / "c17.bench"),
+                   "--constraints", str(c17 / "pin2.txt"),
+                   "--out", str(c17 / "solutions.txt"), "--stats", str(c17 / "stats.json")) == 0
+        sample_stats = json.loads((c17 / "stats.json").read_text())
+        assert bench_stats["config"] == sample_stats["config"] == {
+            "circuit": str(c17 / "c17.bench"), "constraints": str(c17 / "pin2.txt"),
+            "batch": 10000, "lr": 15.0, "iters": 10, "seed": 0, "init_range": 1.0,
+            "dedup": "cone", "threads": 1,
+        }
+        assert list(sample_stats["iterations"][0]) == [
+            "iteration", "new_unique", "cumulative_unique", "elapsed_ms", "loss_mean",
+            "satisfied_rows",
         ]
 
     def test_rows_carry_satisfied_rows(self, c17):

@@ -5,6 +5,7 @@ import pytest
 
 from circsat import (
     Circuit,
+    CircuitError,
     ConstraintSet,
     Gate,
     GateKind,
@@ -28,6 +29,11 @@ def cnf_input_projections(circuit, cnf):
 
 
 class TestTseytinEncode:
+    def test_invalid_circuit_is_rejected(self):
+        c = Circuit(["a", "z", "y"], [0], [2], [Gate(GateKind.AND, (0, 1), 2)])
+        with pytest.raises(CircuitError, match="invalid circuit: dangling net: 'z'"):
+            tseytin_encode(c)
+
     def test_single_and_counts(self):
         c = Circuit(["a", "b", "y"], [0, 1], [2], [Gate(GateKind.AND, (0, 1), 2)])
         cnf = tseytin_encode(c)

@@ -14,6 +14,8 @@ from circsat import (
     to_bench,
     to_blif,
     to_verilog,
+    tseytin_encode,
+    write_dimacs,
 )
 
 from helpers import DATA, load, random_circuit
@@ -57,6 +59,18 @@ class TestVerilog:
         src = "// header\nmodule t(a,y); input a; output y;\n// gate\nbuf B(y,a);\nendmodule"
         assert parse_verilog(src).gates[0].kind is GateKind.BUF
 
+    def test_wire_driven_twice_names_the_line(self):
+        src = ("module t(a,y); input a; output y; wire w;\n"
+               "not N0(w,a);\nbuf B0(w,a);\nbuf B1(y,w);\nendmodule")
+        with pytest.raises(ParseError, match="redefinition of net 'w': duplicate driver at line 3"):
+            parse_verilog(src)
+
+    def test_cycle_is_invalid_circuit(self):
+        src = "module t(a,y); input a; output y; wire w; and A0(w,a,y); not N0(y,w); endmodule"
+        with pytest.raises(ParseError, match="invalid circuit: cycle: ") as exc:
+            parse_verilog(src)
+        assert set(str(exc.value).split("cycle: ")[1].split(" -> ")) == {"w", "y"}
+
 
 class TestBlif:
     def test_and_cover(self):
@@ -96,6 +110,21 @@ class TestBlif:
         with pytest.raises(ParseError, match="outputs"):
             parse_blif(".model t\n.inputs a\n.names a y\n1 1\n.end\n")
 
+    def test_mixed_cover_names_the_line(self):
+        src = ".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end\n"
+        with pytest.raises(ParseError, match="cover mixes output values 0 and 1 at line 4$"):
+            parse_blif(src)
+
+    def test_unsupported_cover_names_the_line(self):
+        src = ".model t\n.inputs a b c\n.outputs y\n\n.names a b c y\n110 1\n001 1\n.end\n"
+        with pytest.raises(ParseError, match="unsupported cover: .* at line 5$"):
+            parse_blif(src)
+
+    def test_driven_primary_input_names_the_line(self):
+        src = ".model t\n.inputs a b\n.outputs y\n.names a y\n1 1\n.names b a\n1 1\n.end\n"
+        with pytest.raises(ParseError, match="redefinition of net 'a': duplicate driver at line 6"):
+            parse_blif(src)
+
     def test_c15_blif_matches_verilog_on_all_assignments(self):
         cv = load("c15.v")
         cb = load("c15.blif")
@@ -126,6 +155,41 @@ class TestBench:
     def test_net_redefinition(self):
         with pytest.raises(ParseError, match="redefinition"):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUFF(a)\n")
+
+
+class TestNetNumbering:
+    """Net ids are CNF variables minus one, so `export-cnf` depends on this order."""
+
+    @pytest.mark.parametrize("name,names", [
+        # Verilog: declaration order (inputs, outputs, wires).
+        ("c15.v", ["G1", "G2", "G3", "G6", "G7", "G19", "G22", "G10", "G11", "G16"]),
+        # BLIF and .bench: inputs, outputs, then each gate's output and inputs at first use.
+        ("c15.blif", ["G1", "G2", "G3", "G6", "G7", "G19", "G22", "G10", "G11", "G16"]),
+        ("c17.bench", ["1", "2", "3", "6", "7", "22", "23", "10", "11", "16", "19"]),
+    ])
+    def test_names_of_the_data_files(self, name, names):
+        assert load(name).names == names
+
+    def test_verilog_numbers_wires_in_declaration_order(self):
+        src = ("module t(a,y); input a; output y; wire v,w;"
+               " not N0(w,a); not N1(v,w); and A0(y,v,w); endmodule")
+        assert parse_verilog(src).names == ["a", "y", "v", "w"]
+
+    def test_blif_and_bench_number_gate_nets_at_first_use(self):
+        blif = (".model t\n.inputs a\n.outputs y\n"
+                ".names v w y\n11 1\n.names a w\n0 1\n.names w v\n1 1\n.end\n")
+        bench = "INPUT(a)\nOUTPUT(y)\ny = AND(v, w)\nw = NOT(a)\nv = BUFF(w)\n"
+        assert parse_blif(blif).names == ["a", "y", "v", "w"]
+        assert parse_bench(bench).names == ["a", "y", "v", "w"]
+
+    @pytest.mark.parametrize("name", ["c15.v", "c15.blif", "c17.bench"])
+    def test_dimacs_names_inputs_and_outputs_by_net_id(self, name):
+        c = load(name)
+        text = write_dimacs(tseytin_encode(c))
+        comments = [ln for ln in text.splitlines() if ln.startswith("c ")]
+        io = [("input", n) for n in c.primary_inputs] + [("output", n) for n in c.primary_outputs]
+        assert comments == [f"c {what} {c.names[n]} {n + 1}" for what, n in io]
+        assert [int(ln.split()[-1]) for ln in comments] == list(range(1, 8))
 
 
 class TestRoundTripAndCrossFormat:

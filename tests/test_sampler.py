@@ -178,6 +178,17 @@ class TestGdStepAndHarden:
 
 
 class TestRunSampling:
+    def test_invalid_circuit_is_rejected(self):
+        c = Circuit(["a", "y"], [0], [1], [Gate(GateKind.NOT, (1,), 1)])
+        cs = ConstraintSet.from_names(c, {"y": 1})
+        with pytest.raises(CircuitError, match="invalid circuit: cycle: y -> y"):
+            run_sampling(c, cs, SamplerConfig(batch_size=8))
+
+    def test_empty_constraint_set_is_rejected(self):
+        c, _ = c15_with_pin()
+        with pytest.raises(CircuitError, match="constraint set is empty"):
+            run_sampling(c, ConstraintSet({}), SamplerConfig(batch_size=8))
+
     def test_c17_finds_all_cone_solutions(self):
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"23": 1})
