@@ -133,6 +133,8 @@ class Circuit:
         for gi, g in enumerate(self.gates):
             self.driver.setdefault(g.output, gi)
         self._topo: list[int] | None = None
+        self._diags: list[str] | None = None
+        self._schedule = None  # the relaxed passes' lowered gates, see probsim
         self._programs: dict[frozenset, ConeProgram] = {}
 
     # -- basic queries ----------------------------------------------------
@@ -158,7 +160,10 @@ class Circuit:
         """Return one diagnostic string per invariant violation (empty = valid).
 
         A cycle is reported through `topo_order`, whose order is then cached.
+        The diagnostics are found once per circuit; each call returns a new list.
         """
+        if self._diags is not None:
+            return list(self._diags)
         diags: list[str] = []
         input_set = set(self.primary_inputs)
         driven: dict[int, list[int]] = {}
@@ -192,7 +197,8 @@ class Circuit:
             self.topo_order()
         except CircuitError as exc:
             diags.append(str(exc))
-        return diags
+        self._diags = diags
+        return list(diags)
 
     # -- topological order ------------------------------------------------
 
@@ -292,8 +298,19 @@ class Circuit:
         for gi in self.topo_order():
             g = self.gates[gi]
             rows = [vals[n] for n in g.inputs]
-            value = _REDUCE[g.kind.reduction].reduce(rows) if rows else np.ones(b, dtype=bool)
-            vals[g.output] = ~value if g.kind.inverted(len(rows)) else value
+            inverted = g.kind.inverted(len(rows))
+            if len(rows) > 1:
+                op = _REDUCE[g.kind.reduction]
+                value = op(rows[0], rows[1])
+                for r in rows[2:]:
+                    op(value, r, out=value)
+                if inverted:
+                    np.logical_not(value, out=value)
+            elif rows:  # NOT or BUF; a row is never written after it is made
+                value = np.logical_not(rows[0]) if inverted else rows[0]
+            else:
+                value = np.full(b, not inverted)
+            vals[g.output] = value
         if nets is None:
             nets = self.primary_outputs
         out = np.empty((b, len(nets)), dtype=np.uint8)

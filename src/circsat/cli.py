@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -335,6 +336,9 @@ def _add_circuit_args(p: argparse.ArgumentParser):
     )
 
 
+# Built once per process: each build leaves some 290 objects in reference
+# cycles (argparse's help formatters) for the cyclic collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circsat",

@@ -151,9 +151,15 @@ def parse_verilog(text: str) -> Circuit:
         if name in declared:
             raise ParseError(f"net '{name}' declared more than once")
         declared.add(name)
+    declared_io = set(declared_inputs) | set(declared_outputs)
     for name in ports:
-        if name not in declared:
+        if name not in declared_io:
             raise ParseError(f"port '{name}' is not declared as input or output")
+    port_set = set(ports)
+    for name in declared_inputs + declared_outputs:
+        if name not in port_set:
+            raise ParseError(f"{'input' if name in declared_inputs else 'output'} '{name}' "
+                             "is not in the module's port list")
     for _, out, ins, line in gates_src:
         for name in [out, *ins]:
             if name not in declared:
@@ -211,6 +217,7 @@ def parse_blif(text: str) -> Circuit:
     inputs: list[str] = []
     outputs: list[str] = []
     gates_src: list[tuple[GateKind, str, list[str], int]] = []
+    kinds: dict[tuple, GateKind] = {}  # (fan-in, cover) -> kind, matched once per parse
     i = 0
     while i < len(lines):
         lineno, line = lines[i]
@@ -244,8 +251,10 @@ def parse_blif(text: str) -> Circuit:
                     if len(fields[0]) != len(sig) - 1 or not set(fields[0]) <= set("01-"):
                         raise ParseError("bad cover pattern", cl)
                     cover.append((fields[0], fields[1]))
-            kind = _cover_to_kind(cover, len(sig) - 1, lineno)
-            gates_src.append((kind, sig[-1], sig[:-1], lineno))
+            key = (len(sig) - 1, *cover)
+            if key not in kinds:
+                kinds[key] = _cover_to_kind(cover, len(sig) - 1, lineno)
+            gates_src.append((kinds[key], sig[-1], sig[:-1], lineno))
         elif cmd == ".end":
             break
         elif cmd == ".latch":

@@ -8,57 +8,85 @@ for 'xor' -- mapped to the probability that the gate outputs 1.  The
 derivative with respect to one input is the product of the other inputs'
 factors, negated when the gate inverts its reduction.
 
-The forward pass records one probability row per net in a tape; the backward
-pass accumulates seed gradients on pinned nets down to the primary inputs by
-reverse traversal.  Both run on whatever circuit they are given: the sampler
-gives them the dense cone program of `Circuit.compile`, and with it one tape
-and one adjoint buffer per worker, reused for every chunk of a run through the
-passes' `out=` argument.  Values are exact at binary input points, where the
-relaxation coincides with the discrete circuit.
+Each circuit's gates are lowered once to a schedule cached on the circuit.
+The forward pass walks it and records one probability row per net in a tape;
+the backward pass walks it in reverse and carries seed gradients on pinned
+nets down to the primary inputs, writing a net's first contribution into its
+row and adding later ones.  Both run on whatever circuit they are given: the
+sampler gives them the dense cone program of `Circuit.compile`, and with it
+one tape and one adjoint buffer per worker, reused for every chunk of a run
+through the passes' `out=` argument.  Values are exact at binary input
+points, where the relaxation coincides with the discrete circuit.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, CircuitError, Gate, GateKind
 
-# reduction -> (factor of one input, a, s) with P(out = 1) = a + s * c for the
-# product c of the factors: c is P(all inputs 1) for 'and', P(all inputs 0)
-# for 'or' and the parity bias P(even) - P(odd) for 'xor'.  An inverted gate
-# gives (1 - a) - s * c.
-_RELAXED = {
-    "and": (lambda p: p, 0.0, 1.0),
-    "or": (lambda p: 1.0 - p, 1.0, -1.0),
-    "xor": (lambda p: 1.0 - 2.0 * p, 0.5, -0.5),
-}
+# reduction -> (factor code, a, s) with P(out = 1) = a + s * c for the product
+# c of one factor per input: p for 'and' (code 0), 1 - p for 'or' (1) and
+# 1 - 2p for 'xor' (2).  c is P(all inputs 1) for 'and', P(all inputs 0) for
+# 'or' and the parity bias P(even) - P(odd) for 'xor'.  An inverted gate gives
+# (1 - a) - s * c.
+_RELAXED = {"and": (0, 0.0, 1.0), "or": (1, 1.0, -1.0), "xor": (2, 0.5, -0.5)}
 
 
-def _relaxed(kind: GateKind, rows: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Output probability of one gate, written into `out`."""
-    factor, a, s = _RELAXED[kind.reduction]
-    if kind.inverted(len(rows)):
-        a, s = 1.0 - a, -s
-    if len(rows) > 1:
-        np.multiply(factor(rows[0]), factor(rows[1]), out=out)
-    else:
-        out[...] = factor(rows[0]) if rows else 1.0
+@dataclass(frozen=True)
+class _Schedule:
+    """A circuit's gates in topological order, lowered for the relaxed passes.
+
+    `gates` holds (factor code, a, s, inverted, inputs, output) per gate,
+    `unwritten` the nets that are neither inputs nor driven, and `width` the
+    widest fan-in.  `leading_inputs` says whether the inputs are nets 0..n-1.
+    """
+
+    gates: list[tuple[int, float, float, bool, tuple[int, ...], int]]
+    unwritten: list[int]
+    width: int
+    leading_inputs: bool
+
+
+def _schedule(circuit: Circuit) -> _Schedule:
+    """The relaxed schedule of `circuit`, lowered once and cached on it."""
+    if circuit._schedule is None:
+        gates = []
+        for gi in circuit.topo_order():
+            g = circuit.gates[gi]
+            code, a, s = _RELAXED[g.kind.reduction]
+            inverted = g.kind.inverted(len(g.inputs))
+            if inverted:
+                a, s = 1.0 - a, -s
+            gates.append((code, a, s, inverted, g.inputs, g.output))
+        written = set(circuit.primary_inputs) | circuit.driver.keys()
+        circuit._schedule = _Schedule(
+            gates,
+            [n for n in range(circuit.num_nets) if n not in written],
+            max((len(g.inputs) for g in circuit.gates), default=0),
+            circuit.primary_inputs == list(range(circuit.num_inputs)),
+        )
+    return circuit._schedule
+
+
+def _factors(code: int, values: np.ndarray, inputs: tuple[int, ...], scratch: np.ndarray) -> list:
+    """One factor row per input: the tape rows for 'and', else written into scratch rows."""
+    if code == 0:
+        return [values[n] for n in inputs]
+    if code == 1:
+        return [np.subtract(1.0, values[n], out=scratch[j]) for j, n in enumerate(inputs)]
+    return [np.subtract(1.0, np.multiply(2.0, values[n], out=scratch[j]), out=scratch[j])
+            for j, n in enumerate(inputs)]
+
+
+def _product(rows: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The product of two or more rows, left to right, written into `out`."""
+    np.multiply(rows[0], rows[1], out=out)
     for r in rows[2:]:
-        out *= factor(r)
-    if s == -1.0:
-        np.subtract(a, out, out=out)
-    elif s != 1.0:
-        out *= s
-        out += a
+        out *= r
     return out
-
-
-def _others(factors: list[np.ndarray], i: int, out_adj: np.ndarray) -> np.ndarray:
-    """The product, left to right, of every factor but the i-th, times out_adj."""
-    return functools.reduce(np.multiply, factors[:i] + factors[i + 1 :] + [out_adj])
 
 
 def _one_gate(kind: GateKind, input_probs) -> tuple[Circuit, np.ndarray]:
@@ -121,6 +149,8 @@ def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = 
 
     With `out`, a (num_nets, >= b) float64 buffer, the tape is written into
     its leading b columns instead of a new array, and the tape is a view of it.
+    Input probabilities that already are the tape's input rows (same data and
+    strides) are not copied.
     """
     input_probs = np.asarray(input_probs, dtype=np.float64)
     if input_probs.ndim != 2 or input_probs.shape[1] != circuit.num_inputs:
@@ -132,13 +162,26 @@ def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = 
     values = np.empty((circuit.num_nets, b)) if out is None else out[:, :b]
     if values.shape != (circuit.num_nets, b):
         raise CircuitError(f"tape buffer of shape {out.shape} cannot hold {circuit.num_nets} x {b}")
+    sched = _schedule(circuit)
     # A net that is neither an input nor driven by a gate reads 0, as in a new array.
-    written = set(circuit.primary_inputs) | circuit.driver.keys()
-    values[[n for n in range(circuit.num_nets) if n not in written]] = 0.0
-    values[circuit.primary_inputs] = input_probs.T
-    for gi in circuit.topo_order():
-        g = circuit.gates[gi]
-        _relaxed(g.kind, [values[n] for n in g.inputs], values[g.output])
+    values[sched.unwritten] = 0.0
+    leading = values[: circuit.num_inputs]
+    if not (sched.leading_inputs and input_probs.ctypes.data == leading.ctypes.data
+            and input_probs.T.strides == leading.strides):
+        values[circuit.primary_inputs] = input_probs.T
+    scratch = np.empty((sched.width, b))
+    for code, a, s, _, inputs, output in sched.gates:
+        row = values[output]
+        factors = _factors(code, values, inputs, scratch)
+        if len(factors) > 1:
+            _product(factors, row)
+        else:
+            row[...] = factors[0] if factors else 1.0
+        if s == -1.0:
+            np.subtract(a, row, out=row)
+        elif s != 1.0:
+            row *= s
+            row += a
     return ProbTape(circuit, values)
 
 
@@ -150,23 +193,42 @@ def backward(
     `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n),
     the transpose of a copy of the input rows of the adjoint; inputs outside
     the fan-in of every seeded net get exactly 0.  With `out`, a
-    (num_nets, >= b) float64 buffer, the adjoint is zeroed and accumulated in
-    its leading b columns instead of a new array.
+    (num_nets, >= b) float64 buffer, the adjoint is accumulated in its leading
+    b columns instead of a new array.
+
+    A net's first contribution is written into its row, later ones are added
+    to it; rows that nothing reaches are zeroed at the end.  This equals
+    accumulating into zeros up to the sign of a zero gradient.
     """
     b = tape.batch_size
     adj = np.empty_like(tape.values) if out is None else out[:, :b]
     if adj.shape != tape.values.shape:
         raise CircuitError(f"adjoint buffer of shape {out.shape} cannot hold {tape.values.shape}")
-    adj.fill(0.0)
+    written = [False] * circuit.num_nets
     for net, seed in seeds.items():
         if not 0 <= net < circuit.num_nets:
             raise CircuitError(f"pinned net id {net} not in circuit")
-        adj[net] += np.asarray(seed, dtype=np.float64)
-    for gi in reversed(circuit.topo_order()):
-        g = circuit.gates[gi]
-        factor = _RELAXED[g.kind.reduction][0]
-        factors = [factor(tape.values[n]) for n in g.inputs]
-        accumulate = np.subtract if g.kind.inverted(len(factors)) else np.add
-        for i, net in enumerate(g.inputs):
-            accumulate(adj[net], _others(factors, i, adj[g.output]), out=adj[net])
+        adj[net] = np.asarray(seed, dtype=np.float64)
+        written[net] = True
+    sched = _schedule(circuit)
+    scratch = np.empty((sched.width + 1, b))
+    other = scratch[sched.width]  # a later contribution, before it is added
+    for code, _, _, inverted, inputs, output in reversed(sched.gates):
+        if not written[output]:
+            continue
+        factors = _factors(code, tape.values, inputs, scratch)
+        for i, net in enumerate(inputs):
+            terms = factors[:i] + factors[i + 1 :] + [adj[output]]
+            if not written[net]:
+                if len(terms) > 1:
+                    _product(terms, adj[net])
+                else:
+                    adj[net] = terms[0]
+                if inverted:
+                    np.negative(adj[net], out=adj[net])
+                written[net] = True
+            else:
+                term = _product(terms, other) if len(terms) > 1 else terms[0]
+                (np.subtract if inverted else np.add)(adj[net], term, out=adj[net])
+    adj[[n for n, w in enumerate(written) if not w]] = 0.0
     return adj[circuit.primary_inputs].T

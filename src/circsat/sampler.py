@@ -14,11 +14,12 @@ chunks of rows, and successive draws continue the stream, so a batch is a
 prefix of any larger batch.  The sampler keeps V input-major, moves the cone
 rows to the front and steps them in place; of the other rows it keeps only
 the hardened bits.  Each worker reuses one tape and one adjoint buffer for
-every chunk of the run.  The oracle checks every row after every step, but a
-row that met the pins after the last step and kept its cone bits is a fixed
-point whose key was already looked up, so it is not re-harvested.  Chunks are
-harvested in a fixed order, so results do not depend on chunking or worker
-count.
+every chunk of the run, and the sigmoid writes straight into the tape's input
+rows.  The oracle checks every row after every step, but a row that met the
+pins after the last step and kept its cone bits is a fixed point whose key
+was already looked up, so it is not re-harvested.  A chunk's new solutions
+are row views of one block taken from it.  Chunks are harvested in a fixed
+order, so results do not depend on chunking or worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ import numpy as np
 from .circuit import Circuit, CircuitError, ConeProgram, ConstraintSet
 from .probsim import backward, forward
 
-_CHUNK_ROWS = 8192  # fixed split so thread count never changes results
+# A fixed split, so thread count never changes results.  Smaller chunks do
+# not lower the cost per row (fitting the cache buys nothing), and each chunk
+# adds a fixed 0.1-0.8 ms; ROADMAP item 1 has the measurements.
+_CHUNK_ROWS = 8192
 
 _MAX_INIT_RANGE = float(np.finfo(np.float64).max) / 2  # Uniform[-a, a] needs a finite 2a
 
@@ -105,16 +109,13 @@ class SolutionSet:
 
     def cone_rows(self) -> np.ndarray:
         """(num_solutions, |cone|) bit matrix restricted to cone inputs."""
-        if not self.solutions:
-            return np.zeros((0, len(self.cone_cols)), dtype=np.uint8)
-        full = np.stack(list(self.solutions.values()))
-        return full[:, self.cone_cols]
+        return self.full_rows()[:, self.cone_cols]
 
     def full_rows(self) -> np.ndarray:
         """(num_solutions, n) bit matrix over all primary inputs."""
         if not self.solutions:
             return np.zeros((0, len(self.all_input_names)), dtype=np.uint8)
-        return np.stack(list(self.solutions.values()))
+        return np.array(list(self.solutions.values()), dtype=np.uint8)
 
     def cone_keys(self) -> set[tuple[int, ...]]:
         return {tuple(int(b) for b in row) for row in self.cone_rows()}
@@ -141,13 +142,13 @@ def init_embeddings(
     return EmbeddingMatrix(V=V, cone_mask=mask)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp of a non-positive number never overflows; equal bit for bit to
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.  As e <= 1, the
     # numerator max(e, x >= 0) is 1 for x >= 0 and e below, without a branch.
-    e = np.abs(x)
-    np.exp(np.negative(e, out=e), out=e)
-    p = np.maximum(e, x >= 0)
+    e = np.copysign(x, -1.0)  # -|x|
+    np.exp(e, out=e)
+    p = np.maximum(e, x >= 0, out=out)
     return np.divide(p, np.add(1.0, e, out=e), out=p)
 
 
@@ -162,13 +163,17 @@ def loss_and_grad(
     Gradients are chained through the sigmoid; columns outside the support
     cone are exactly zero.  `buffers`, a (tape, adjoint) pair of (cone nets,
     >= b) float64 arrays, are handed to `forward` and `backward` as their
-    `out`; the returned arrays never alias them.
+    `out`, and the sigmoid writes into the tape's input rows; the returned
+    arrays never alias them.
     """
     tape_buf, adj_buf = buffers or (None, None)
     cone = circuit.compile(constraints)
     whole = len(cone.input_cols) == circuit.num_inputs  # every column is a cone column
     U = emb.V.T if whole else emb.V[:, cone.input_cols].T  # input-major
-    P = _sigmoid(U)
+    # The program's inputs are nets 0..k-1, so P can sit in the tape's leading
+    # rows; a buffer too small for them is left for `forward` to reject.
+    rows = None if tape_buf is None else tape_buf[: U.shape[0], : U.shape[1]]
+    P = _sigmoid(U, out=rows if rows is not None and rows.shape == U.shape else None)
     tape = forward(cone.circuit, P.T, out=tape_buf)
     diffs = {net: tape.net(net) - float(target) for net, target in cone.pins.items()}
     loss = sum(d * d for d in diffs.values())
@@ -192,7 +197,7 @@ def gd_step(emb: EmbeddingMatrix, grad: np.ndarray, learning_rate: float) -> Emb
 
 def harden(V: np.ndarray) -> np.ndarray:
     """Round soft values to bits: sigma(v) >= 0.5, i.e. v >= 0, maps to 1."""
-    return (np.asarray(V) >= 0.0).astype(np.uint8)
+    return (np.asarray(V) >= 0.0).view(np.uint8)
 
 
 def _process_chunk(
@@ -341,11 +346,13 @@ def run_sampling(
                 first = np.sort(order[starts])
                 # One void scalar per key; bytes copied out so an empty chunk needs no strides.
                 keys = np.frombuffer(packed.tobytes(), dtype=f"V{width}")
-                for i, key in zip(first.tolist(), keys[first].tolist()):
-                    if key not in result.solutions:
-                        # The hardened row the oracle checked, don't-cares included.
-                        result.solutions[key] = hard_ok[i].copy()
-                        new_unique += 1
+                fresh = [(i, key) for i, key in zip(first.tolist(), keys[first].tolist())
+                         if key not in result.solutions]
+                # The hardened rows the oracle checked, don't-cares included,
+                # taken at once; each solution is a row view of this block.
+                block = hard_ok[[i for i, _ in fresh]]
+                result.solutions.update(zip((key for _, key in fresh), block))
+                new_unique += len(fresh)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             result.stats.append(
                 IterationStats(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from pathlib import Path
@@ -113,6 +114,62 @@ def naive_eval(circuit: Circuit, assignment: dict[str, int]) -> dict[str, int]:
         return out
 
     return {circuit.names[n]: value(n) for n in range(circuit.num_nets)}
+
+
+# reduction -> (factor of one input, a, s) with P(out = 1) = a + s * prod(factors);
+# an inverted gate gives (1 - a) - s * prod(factors).
+_REFERENCE_RELAXED = {
+    "and": (lambda p: p, 0.0, 1.0),
+    "or": (lambda p: 1.0 - p, 1.0, -1.0),
+    "xor": (lambda p: 1.0 - 2.0 * p, 0.5, -0.5),
+}
+
+
+def reference_forward(circuit: Circuit, input_probs: np.ndarray) -> np.ndarray:
+    """The relaxed forward pass gate by gate: the (num_nets, b) tape.
+
+    Each gate reads its kind's semantics afresh and multiplies new factor
+    arrays, with the same floating-point operations in the same order as
+    `forward`, so the two agree bit for bit.
+    """
+    P = np.asarray(input_probs, dtype=np.float64)
+    values = np.zeros((circuit.num_nets, P.shape[0]))
+    values[circuit.primary_inputs] = P.T
+    for gi in circuit.topo_order():
+        g = circuit.gates[gi]
+        factor, a, s = _REFERENCE_RELAXED[g.kind.reduction]
+        if g.kind.inverted(len(g.inputs)):
+            a, s = 1.0 - a, -s
+        rows = [values[n] for n in g.inputs]
+        out = values[g.output]
+        if len(rows) > 1:
+            np.multiply(factor(rows[0]), factor(rows[1]), out=out)
+        else:
+            out[...] = factor(rows[0]) if rows else 1.0
+        for r in rows[2:]:
+            out *= factor(r)
+        if s == -1.0:
+            np.subtract(a, out, out=out)
+        elif s != 1.0:
+            out *= s
+            out += a
+    return values
+
+
+def reference_backward(circuit: Circuit, values: np.ndarray, seeds: dict[int, np.ndarray]) -> np.ndarray:
+    """dL/dP (b, n) by accumulating every contribution into a zeroed adjoint."""
+    adj = np.zeros_like(values)
+    for net, seed in seeds.items():
+        adj[net] += np.asarray(seed, dtype=np.float64)
+    for gi in reversed(circuit.topo_order()):
+        g = circuit.gates[gi]
+        factor = _REFERENCE_RELAXED[g.kind.reduction][0]
+        factors = [factor(values[n]) for n in g.inputs]
+        accumulate = np.subtract if g.kind.inverted(len(factors)) else np.add
+        for i, net in enumerate(g.inputs):
+            others = functools.reduce(np.multiply, factors[:i] + factors[i + 1 :] + [adj[g.output]])
+            accumulate(adj[net], others, out=adj[net])
+    return adj[circuit.primary_inputs].T
 
 
 def brute_force_solutions(

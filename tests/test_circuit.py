@@ -48,6 +48,16 @@ def test_bad_fan_in_diagnostic():
     assert any("bad fan-in" in d for d in c.validate())
 
 
+@pytest.mark.parametrize("valid", [True, False])
+def test_validate_returns_a_new_list_each_call(valid):
+    c = load("c15.v") if valid else Circuit(["a", "y"], [0], [1], [Gate(GateKind.NOT, (1,), 1)])
+    first = c.validate()
+    want = list(first)
+    first.append("appended by the caller")
+    second = c.validate()
+    assert second == want and second is not first
+
+
 class TestTopoOrder:
     def test_c15_order(self):
         c = load("c15.v")

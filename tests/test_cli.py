@@ -416,6 +416,18 @@ class TestInfo:
         p.write_text("module t(a); garbage")
         assert run("info", "--circuit", str(p)) == 2
 
+    @pytest.mark.parametrize("module, message", [
+        ("module t(a,w,y); input a; output y; wire w; not N0(w,a); buf B0(y,w); endmodule",
+         "port 'w' is not declared as input or output"),
+        ("module t(a); input a,b; output y; and A0(y,a,b); endmodule",
+         "input 'b' is not in the module's port list"),
+    ])
+    def test_verilog_port_list_mismatch_is_input_error(self, tmp_path, capsys, module, message):
+        p = tmp_path / "bad.v"
+        p.write_text(module)
+        assert run("info", "--circuit", str(p)) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBench:
     def test_learning_rate_sweep(self, c17, capsys):

@@ -65,6 +65,19 @@ class TestVerilog:
         with pytest.raises(ParseError, match="redefinition of net 'w': duplicate driver at line 3"):
             parse_verilog(src)
 
+    def test_port_declared_only_as_wire_rejected(self):
+        src = "module t(a,w,y); input a; output y; wire w; not N0(w,a); buf B0(y,w); endmodule"
+        with pytest.raises(ParseError, match="port 'w' is not declared as input or output"):
+            parse_verilog(src)
+
+    def test_input_or_output_missing_from_port_list_rejected(self):
+        src = "module t(a); input a,b; output y; and A0(y,a,b); endmodule"
+        with pytest.raises(ParseError, match="input 'b' is not in the module's port list"):
+            parse_verilog(src)
+        src = "module t(a,b); input a,b; output y; and A0(y,a,b); endmodule"
+        with pytest.raises(ParseError, match="output 'y' is not in the module's port list"):
+            parse_verilog(src)
+
     def test_cycle_is_invalid_circuit(self):
         src = "module t(a,y); input a; output y; wire w; and A0(w,a,y); not N0(y,w); endmodule"
         with pytest.raises(ParseError, match="invalid circuit: cycle: ") as exc:
@@ -104,6 +117,23 @@ class TestBlif:
     def test_duplicate_driver_rejected(self):
         src = ".model t\n.inputs a b\n.outputs y\n.names a y\n1 1\n.names b y\n1 1\n.end\n"
         with pytest.raises(ParseError, match="duplicate driver"):
+            parse_blif(src)
+
+    def test_same_cover_on_different_nets_gives_the_same_kind(self):
+        src = (".model t\n.inputs a b c\n.outputs y z\n"
+               ".names a b y\n0- 1\n-0 1\n.names b c z\n0- 1\n-0 1\n.end\n")
+        c = parse_blif(src)
+        assert [g.kind for g in c.gates] == [GateKind.NAND, GateKind.NAND]
+        assert [[c.name(n) for n in g.inputs] for g in c.gates] == [["a", "b"], ["b", "c"]]
+
+    @pytest.mark.parametrize("cover, message", [
+        ("11 1\n00 0\n", "cover mixes output values 0 and 1 at line 8$"),
+        ("10 1\n", "unsupported cover: .* at line 8$"),
+    ])
+    def test_bad_cover_names_its_line_after_a_valid_one_of_the_same_fan_in(self, cover, message):
+        src = (".model t\n.inputs a b\n.outputs y z\n"
+               ".names a b y\n11 1\n.names b a w\n11 1\n.names a b z\n" + cover + ".end\n")
+        with pytest.raises(ParseError, match=message):
             parse_blif(src)
 
     def test_missing_outputs_rejected(self):

@@ -17,7 +17,15 @@ from circsat import (
     gate_prob,
 )
 
-from helpers import fd_input_grads, load, random_circuit, scalar_loss
+from helpers import (
+    fd_input_grads,
+    load,
+    naive_eval,
+    random_circuit,
+    reference_backward,
+    reference_forward,
+    scalar_loss,
+)
 
 BINARY_KINDS = [
     GateKind.NOT, GateKind.BUF, GateKind.AND, GateKind.OR,
@@ -236,3 +244,105 @@ def test_exhaustive_binary_exactness_small_circuits():
         tape = forward(c, rows)
         ref = c.eval_batch(rows.astype(np.uint8), nets=list(range(c.num_nets)))
         assert np.array_equal(tape.values.T, ref)
+
+
+def _lowering_case(seed: int) -> tuple[Circuit, dict[int, int]]:
+    """A random circuit with the shapes the lowered passes special-case, and pins on it.
+
+    On top of `random_circuit`: gates that list one net twice, XNORs of
+    fan-in 2, 3 and 4, and an input that feeds nothing, so that it lies
+    outside every seeded fan-in.  The pins hold one gate output and one of
+    its inputs that is itself a gate output, plus a random gate output.
+    """
+    rng = np.random.default_rng(seed)
+    base = random_circuit(rng, n_inputs=int(rng.integers(2, 7)), n_gates=int(rng.integers(1, 25)))
+    names = base.names + ["lonely"]
+    gates = list(base.gates)
+
+    def pick() -> int:
+        return int(rng.integers(base.num_nets))
+
+    for kind, ins in [
+        (GateKind.AND, "xx"), (GateKind.OR, "xyx"), (GateKind.XOR, "xx"), (GateKind.NAND, "yxx"),
+        (GateKind.XNOR, "xy"), (GateKind.XNOR, "xyz"), (GateKind.XNOR, "xyzw"), (GateKind.NOR, "xx"),
+    ]:
+        nets = {ch: pick() for ch in dict.fromkeys(ins)}
+        names.append(f"e{len(gates)}")
+        gates.append(Gate(kind, tuple(nets[ch] for ch in ins), len(names) - 1))
+    outs = sorted(set(base.primary_outputs) | {g.output for g in gates[len(base.gates):]})
+    c = Circuit(names, base.primary_inputs + [base.num_nets], outs, gates)
+    driven = [g for g in gates if g.inputs and g.inputs[0] in c.driver]
+    pins = {int(driven[rng.integers(len(driven))].output): 1} if driven else {}
+    if driven:
+        g = c.gates[c.driver[next(iter(pins))]]
+        pins[g.inputs[0]] = 0
+    pins[gates[int(rng.integers(len(gates)))].output] = 1
+    return c, pins
+
+
+_EDGE_PROBS = np.array([0.0, 1.0, 5e-324, 1e-300, 1e-17, 1.0 - 2.0**-53, 0.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), probs=st.sampled_from(["random", "binary", "edge"]),
+       b=st.integers(1, 12))
+def test_lowered_passes_equal_the_per_gate_reference_bitwise(seed, probs, b):
+    c, pins = _lowering_case(seed)
+    rng = np.random.default_rng(seed + 1)
+    n = c.num_inputs
+    if probs == "random":
+        P = rng.uniform(0.0, 1.0, size=(b, n))
+    elif probs == "binary":
+        P = rng.integers(0, 2, size=(b, n)).astype(float)
+    else:
+        P = rng.choice(_EDGE_PROBS, size=(b, n))
+    seeds = {net: rng.normal(size=b) for net in pins}
+    want_tape = reference_forward(c, P)
+    want_grad = reference_backward(c, want_tape, seeds)
+    # New arrays, and buffers wider than the batch and full of NaN.
+    for out in (None, np.full((c.num_nets, b + 3), np.nan)):
+        tape = forward(c, P, out=out)
+        assert np.array_equal(tape.values, want_tape)
+        adj = None if out is None else np.full_like(out, np.nan)
+        grad = backward(c, tape, seeds, out=adj)
+        assert np.array_equal(grad, want_grad)
+    # "lonely" feeds nothing, so no seeded fan-in holds it.
+    assert np.all(grad[:, -1] == 0.0)
+    if probs == "binary":
+        bits = P.astype(np.uint8)
+        nets = list(range(c.num_nets))
+        got = c.eval_batch(bits, nets=nets)
+        names = [c.name(i) for i in c.primary_inputs]
+        for row, want in zip(bits, got):
+            ref = naive_eval(c, dict(zip(names, row.tolist())))
+            assert [ref[c.name(i)] for i in nets] == want.tolist()
+        assert np.array_equal(tape.values.T, got)
+
+
+class TestForwardInputRows:
+    def _case(self):
+        c = load("c17.bench")
+        cone = c.compile(ConstraintSet.from_names(c, {"22": 0, "23": 1})).circuit
+        P = np.random.default_rng(5).uniform(0, 1, size=(6, cone.num_inputs))
+        return cone, P, forward(cone, P).values
+
+    def test_probabilities_already_in_the_leading_input_rows_are_used_in_place(self):
+        cone, P, want = self._case()
+        k, b = P.shape[1], P.shape[0]
+        buf = np.full((cone.num_nets, b + 2), np.nan)
+        buf[:k, :b] = P.T
+        tape = forward(cone, buf[:k, :b].T, out=buf)
+        assert np.array_equal(tape.values, want)
+
+    def test_probabilities_elsewhere_in_the_buffer_are_copied(self):
+        cone, P, want = self._case()
+        k, b = P.shape[1], P.shape[0]
+        # The input rows one row down: they overlap the tape's input rows.
+        buf = np.full((cone.num_nets, b), np.nan)
+        buf[1 : k + 1] = P.T
+        assert np.array_equal(forward(cone, buf[1 : k + 1].T, out=buf).values, want)
+        # Same first element as the tape's input rows but laid out row-major.
+        buf = np.full((cone.num_nets, b), np.nan)
+        inputs = buf.reshape(-1)[: b * k].reshape(b, k)
+        inputs[...] = P
+        assert np.array_equal(forward(cone, inputs, out=buf).values, want)

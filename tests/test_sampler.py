@@ -22,7 +22,7 @@ from circsat import (
     run_sampling,
 )
 from circsat import backward, forward, sampler
-from circsat.sampler import EmbeddingMatrix, _sigmoid
+from circsat.sampler import EmbeddingMatrix, SolutionSet, _sigmoid
 
 from helpers import brute_force_solutions, load, random_circuit, reference_sampling
 
@@ -607,3 +607,50 @@ def test_sampled_rows_are_verified_distinct_brute_force_solutions(circuit_seed, 
     assert result.cone_keys() <= {tuple(s[j] for j in cols) for s in brute_force_solutions(c, cs)}
     key_rows = rows[:, cols] if scope == "cone" else rows
     assert len({tuple(r) for r in key_rows.tolist()}) == len(rows)
+
+
+def test_buffers_too_small_for_the_chunk_are_rejected_by_forward():
+    c = load("c17.bench")
+    cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+    nets = c.compile(cs).circuit.num_nets
+    emb = EmbeddingMatrix(V=np.zeros((10, c.num_inputs)), cone_mask=np.ones(c.num_inputs, bool))
+    with pytest.raises(CircuitError, match="tape buffer of shape"):
+        loss_and_grad(c, emb, cs, (np.empty((nets, 4)), np.empty((nets, 4))))
+
+
+class TestSolutionRows:
+    def _stacked(self, result):
+        full = np.stack(list(result.solutions.values()))
+        return full, full[:, result.cone_cols]
+
+    def test_sampled_set(self):
+        c = load("c17.bench")
+        r = run_sampling(c, ConstraintSet.from_names(c, {"22": 0}), SamplerConfig(batch_size=500))
+        full, cone = self._stacked(r)
+        assert np.array_equal(r.full_rows(), full) and r.full_rows().dtype == np.uint8
+        assert np.array_equal(r.cone_rows(), cone) and r.cone_rows().dtype == np.uint8
+
+    def test_empty_set(self):
+        r = SolutionSet(["b"], ["a", "b", "c"], [1], "cone")
+        assert r.full_rows().shape == (0, 3) and r.full_rows().dtype == np.uint8
+        assert r.cone_rows().shape == (0, 1) and r.cone_rows().dtype == np.uint8
+
+    def test_hand_built_set_after_a_delete_and_an_insert(self):
+        r = SolutionSet(["a", "c"], ["a", "b", "c"], [0, 2], "all")
+        block = np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        r.solutions.update({b"x": block[0], b"y": block[1], b"z": block[2]})
+        del r.solutions[b"y"]
+        r.solutions[b"w"] = np.array([0, 1, 0], dtype=np.uint8)
+        full, cone = self._stacked(r)
+        assert np.array_equal(r.full_rows(), full)
+        assert np.array_equal(r.cone_rows(), cone)
+        assert r.full_rows().tolist() == [[0, 0, 1], [1, 1, 1], [0, 1, 0]]
+
+    def test_rows_of_one_run_survive_a_second_run_on_the_same_circuit(self):
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        first = run_sampling(c, cs, SamplerConfig(batch_size=300, iterations=3, seed=4))
+        kept = {key: row.copy() for key, row in first.solutions.items()}
+        run_sampling(c, cs, SamplerConfig(batch_size=300, iterations=3, seed=5))
+        assert list(first.solutions) == list(kept)
+        assert all(np.array_equal(first.solutions[k], row) for k, row in kept.items())
