@@ -17,6 +17,10 @@ sampler gives them the dense cone program of `Circuit.compile`, and with it
 one tape and one adjoint buffer per worker, reused for every chunk of a run
 through the passes' `out=` argument.  Values are exact at binary input
 points, where the relaxation coincides with the discrete circuit.
+
+Both passes run at the precision of their buffers: `out`'s dtype when given,
+else the input's, promoted to at least float32.  The sampler runs them in
+float32; float64 callers get float64 tapes and gradients.
 """
 
 from __future__ import annotations
@@ -147,19 +151,22 @@ class ProbTape:
 def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = None) -> ProbTape:
     """Relaxed evaluation of every net for a (b, n) input probability matrix.
 
-    With `out`, a (num_nets, >= b) float64 buffer, the tape is written into
-    its leading b columns instead of a new array, and the tape is a view of it.
+    With `out`, a (num_nets, >= b) buffer, the tape is written into its
+    leading b columns instead of a new array, and the tape is a view of it.
+    The tape has `out`'s dtype, else the input's promoted to at least float32.
     Input probabilities that already are the tape's input rows (same data and
     strides) are not copied.
     """
-    input_probs = np.asarray(input_probs, dtype=np.float64)
+    input_probs = np.asarray(input_probs)
+    dtype = np.result_type(input_probs, np.float32) if out is None else out.dtype
+    input_probs = input_probs.astype(dtype, copy=False)
     if input_probs.ndim != 2 or input_probs.shape[1] != circuit.num_inputs:
         raise CircuitError(
             f"expected input probabilities of shape (b, {circuit.num_inputs}), "
             f"got {input_probs.shape}"
         )
     b = input_probs.shape[0]
-    values = np.empty((circuit.num_nets, b)) if out is None else out[:, :b]
+    values = np.empty((circuit.num_nets, b), dtype) if out is None else out[:, :b]
     if values.shape != (circuit.num_nets, b):
         raise CircuitError(f"tape buffer of shape {out.shape} cannot hold {circuit.num_nets} x {b}")
     sched = _schedule(circuit)
@@ -169,7 +176,7 @@ def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = 
     if not (sched.leading_inputs and input_probs.ctypes.data == leading.ctypes.data
             and input_probs.T.strides == leading.strides):
         values[circuit.primary_inputs] = input_probs.T
-    scratch = np.empty((sched.width, b))
+    scratch = np.empty((sched.width, b), dtype)
     for code, a, s, _, inputs, output in sched.gates:
         row = values[output]
         factors = _factors(code, values, inputs, scratch)
@@ -193,8 +200,9 @@ def backward(
     `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n),
     the transpose of a copy of the input rows of the adjoint; inputs outside
     the fan-in of every seeded net get exactly 0.  With `out`, a
-    (num_nets, >= b) float64 buffer, the adjoint is accumulated in its leading
-    b columns instead of a new array.
+    (num_nets, >= b) buffer, the adjoint is accumulated in its leading b
+    columns instead of a new array.  The adjoint has `out`'s dtype, else the
+    tape's, and the seeds are cast to it.
 
     A net's first contribution is written into its row, later ones are added
     to it; rows that nothing reaches are zeroed at the end.  This equals
@@ -208,10 +216,10 @@ def backward(
     for net, seed in seeds.items():
         if not 0 <= net < circuit.num_nets:
             raise CircuitError(f"pinned net id {net} not in circuit")
-        adj[net] = np.asarray(seed, dtype=np.float64)
+        adj[net] = np.asarray(seed, dtype=adj.dtype)
         written[net] = True
     sched = _schedule(circuit)
-    scratch = np.empty((sched.width + 1, b))
+    scratch = np.empty((sched.width + 1, b), adj.dtype)
     other = scratch[sched.width]  # a later contribution, before it is added
     for code, _, _, inverted, inputs, output in reversed(sched.gates):
         if not written[output]:

@@ -20,6 +20,11 @@ pins after the last step and kept its cone bits is a fixed point whose key
 was already looked up, so it is not re-harvested.  A chunk's new solutions
 are row views of one block taken from it.  Chunks are harvested in a fixed
 order, so results do not depend on chunking or worker count.
+
+The gradient-descent path runs in float32: V, the sigmoid, the tape, the
+adjoint, the loss and the step (`_FLOAT`).  Precision can change which rows
+converge, never what is emitted: every row is hardened to bits and checked by
+the exact Boolean oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +47,12 @@ from .probsim import backward, forward
 # adds a fixed 0.1-0.8 ms; ROADMAP item 1 has the measurements.
 _CHUNK_ROWS = 8192
 
-_MAX_INIT_RANGE = float(np.finfo(np.float64).max) / 2  # Uniform[-a, a] needs a finite 2a
+# The precision of V, the tape, the adjoint and the step: the relaxed passes
+# are bound by memory traffic, so half the bytes run faster.  The draw stays
+# float64, so the stream and its prefix property are unchanged.
+_FLOAT = np.float32
+
+_MAX_INIT_RANGE = float(np.finfo(_FLOAT).max)  # a larger draw would turn V into +-inf
 
 DEDUP_CONE = "cone"
 DEDUP_ALL = "all"
@@ -75,7 +85,7 @@ class SamplerConfig:
 
 @dataclass
 class EmbeddingMatrix:
-    V: np.ndarray  # (b, n) float64 pre-activations
+    V: np.ndarray  # (b, n) pre-activations, float32 in the sampler
     cone_mask: np.ndarray  # (n,) bool, True = trainable
 
 
@@ -126,9 +136,9 @@ def init_embeddings(
 ) -> EmbeddingMatrix:
     """V ~ Uniform[-a, a] i.i.d. from one Philox stream keyed by the seed.
 
-    V is drawn in blocks of `_CHUNK_ROWS` rows; successive draws continue the
-    stream, so the rows equal one whole draw.  V is stored column-major, so
-    `V.T` is input-major.
+    V is drawn in float64 blocks of `_CHUNK_ROWS` rows; successive draws
+    continue the stream, so the rows equal one whole draw.  V is stored as
+    float32, column-major, so `V.T` is input-major.
     """
     cone = circuit.support_cone(constraints)
     if not cone:
@@ -136,7 +146,7 @@ def init_embeddings(
     mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
     a, b, n = config.init_range, config.batch_size, circuit.num_inputs
-    V = np.empty((n, b)).T
+    V = np.empty((n, b), _FLOAT).T
     for lo in range(0, b, _CHUNK_ROWS):
         V[lo : lo + _CHUNK_ROWS] = rng.uniform(-a, a, size=(min(_CHUNK_ROWS, b - lo), n))
     return EmbeddingMatrix(V=V, cone_mask=mask)
@@ -161,10 +171,10 @@ def loss_and_grad(
     """Per-sample l2 loss over the pinned nets and dL/dV, on their compiled cone.
 
     Gradients are chained through the sigmoid; columns outside the support
-    cone are exactly zero.  `buffers`, a (tape, adjoint) pair of (cone nets,
-    >= b) float64 arrays, are handed to `forward` and `backward` as their
-    `out`, and the sigmoid writes into the tape's input rows; the returned
-    arrays never alias them.
+    cone are exactly zero.  Everything runs at V's precision.  `buffers`, a
+    (tape, adjoint) pair of (cone nets, >= b) arrays of V's dtype, are handed
+    to `forward` and `backward` as their `out`, and the sigmoid writes into
+    the tape's input rows; the returned arrays never alias them.
     """
     tape_buf, adj_buf = buffers or (None, None)
     cone = circuit.compile(constraints)
@@ -238,7 +248,7 @@ def _process_chunk(
     rows = np.empty((int(new.sum()), len(cone.input_cols) + len(free_cols)), dtype=np.uint8)
     rows[:, cone.input_cols] = hard[new]  # the cone bits as checked
     rows[:, free_cols] = free_bits[:, new].T  # the don't-care bits as drawn
-    return rows, float(loss.sum()), int(ok.sum())
+    return rows, float(loss.sum(dtype=np.float64)), int(ok.sum())
 
 
 def _buffer_shape(cone: ConeProgram, batch_size: int) -> tuple[int, int]:
@@ -249,12 +259,13 @@ def _buffer_shape(cone: ConeProgram, batch_size: int) -> tuple[int, int]:
 def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
     """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
     # Kept per row: V, the don't-care bits and whether the row met the pins.
-    # Once: a block of the draw.  Per worker: the tape and adjoint buffers and
-    # a few cone-sized temporaries.
+    # Once: a float64 block of the draw.  Per worker: the tape and adjoint
+    # buffers and a few cone-sized temporaries.
     k, b = len(cone.input_cols), config.batch_size
     rows = min(b, _CHUNK_ROWS)
-    pair = 2 * 8 * math.prod(_buffer_shape(cone, b))
-    need = b * (9 * n - k + 1) + rows * 8 * n + workers * (pair + rows * 8 * 6 * k)
+    size = np.dtype(_FLOAT).itemsize
+    pair = 2 * size * math.prod(_buffer_shape(cone, b))
+    need = b * (size * n + n - k + 1) + rows * 8 * n + workers * (pair + rows * size * 6 * k)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
@@ -307,7 +318,7 @@ def run_sampling(
     shape = _buffer_shape(cone, config.batch_size)
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put((np.empty(shape), np.empty(shape)))
+        buffers.put((np.empty(shape, _FLOAT), np.empty(shape, _FLOAT)))
     step = functools.partial(
         _process_chunk, cone, ConstraintSet(cone.pins), config.learning_rate, free_cols, buffers
     )

@@ -130,10 +130,12 @@ def reference_forward(circuit: Circuit, input_probs: np.ndarray) -> np.ndarray:
 
     Each gate reads its kind's semantics afresh and multiplies new factor
     arrays, with the same floating-point operations in the same order as
-    `forward`, so the two agree bit for bit.
+    `forward`, so the two agree bit for bit.  It runs at the precision of
+    its input, promoted to at least float32.
     """
-    P = np.asarray(input_probs, dtype=np.float64)
-    values = np.zeros((circuit.num_nets, P.shape[0]))
+    P = np.asarray(input_probs)
+    P = P.astype(np.result_type(P, np.float32), copy=False)
+    values = np.zeros((circuit.num_nets, P.shape[0]), P.dtype)
     values[circuit.primary_inputs] = P.T
     for gi in circuit.topo_order():
         g = circuit.gates[gi]
@@ -157,10 +159,10 @@ def reference_forward(circuit: Circuit, input_probs: np.ndarray) -> np.ndarray:
 
 
 def reference_backward(circuit: Circuit, values: np.ndarray, seeds: dict[int, np.ndarray]) -> np.ndarray:
-    """dL/dP (b, n) by accumulating every contribution into a zeroed adjoint."""
+    """dL/dP (b, n) by accumulating every contribution into a zeroed adjoint of the tape's dtype."""
     adj = np.zeros_like(values)
     for net, seed in seeds.items():
-        adj[net] += np.asarray(seed, dtype=np.float64)
+        adj[net] += np.asarray(seed, dtype=adj.dtype)
     for gi in reversed(circuit.topo_order()):
         g = circuit.gates[gi]
         factor = _REFERENCE_RELAXED[g.kind.reduction][0]
@@ -223,17 +225,18 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
 def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: SamplerConfig):
     """The sampling loop over the whole circuit, one full-batch V, no compiled cone.
 
-    One (batch, n) draw; per iteration a whole-circuit forward and backward,
-    a masked `gd_step`, `harden`, `eval_batch` over the whole circuit and a
-    row-by-row dedup.  Returns (keys, rows, per-iteration (new, cumulative)).
+    One (batch, n) draw, cast to float32 as the sampler stores it; per
+    iteration a whole-circuit forward and backward (float32, the dtype of
+    their input), a masked `gd_step`, `harden`, `eval_batch` over the whole
+    circuit and a row-by-row dedup.  Returns (keys, rows, per-iteration
+    (new, cumulative)).
     """
     cone = circuit.support_cone(constraints)
     mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
     a = config.init_range
-    emb = EmbeddingMatrix(
-        V=rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs)), cone_mask=mask
-    )
+    V = rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs)).astype(np.float32)
+    emb = EmbeddingMatrix(V=V, cone_mask=mask)
     key_cols = mask if config.dedup_scope == "cone" else np.ones_like(mask)
     pins = list(constraints.pins)
     want = np.array([constraints.pins[n] for n in pins], dtype=np.uint8)

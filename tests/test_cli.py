@@ -147,7 +147,9 @@ class TestSample:
         assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{"--threads": "-3"})) == 2
         assert "threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--init-range", "inf")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--init-range", "inf"), ("--init-range", "1e39")]
+    )
     def test_non_finite_lr_or_init_range_is_input_error(self, c17, capsys, flag, value):
         assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{flag: value})) == 2
         assert "must be positive and finite" in capsys.readouterr().err

@@ -280,31 +280,51 @@ def _lowering_case(seed: int) -> tuple[Circuit, dict[int, int]]:
     return c, pins
 
 
-_EDGE_PROBS = np.array([0.0, 1.0, 5e-324, 1e-300, 1e-17, 1.0 - 2.0**-53, 0.5])
+# Zero, one, the smallest denormal, a tiny normal, a value below the
+# rounding unit and the largest value below one, at each precision.
+_EDGE_PROBS = {
+    np.float64: np.array([0.0, 1.0, 5e-324, 1e-300, 1e-17, 1.0 - 2.0**-53, 0.5]),
+    np.float32: np.array([0.0, 1.0, 1e-45, 1e-38, 1e-8, 1.0 - 2.0**-24, 0.5], np.float32),
+}
+_LOWERING_CASES = dict(seed=st.integers(0, 2**32 - 1),
+                       probs=st.sampled_from(["random", "binary", "edge"]), b=st.integers(1, 12))
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), probs=st.sampled_from(["random", "binary", "edge"]),
-       b=st.integers(1, 12))
+@given(**_LOWERING_CASES)
 def test_lowered_passes_equal_the_per_gate_reference_bitwise(seed, probs, b):
+    _check_lowered_passes(seed, probs, b, np.float64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LOWERING_CASES)
+def test_lowered_float32_passes_equal_the_per_gate_reference_bitwise(seed, probs, b):
+    # The sampler's precision; the reference passes run at their input's dtype.
+    _check_lowered_passes(seed, probs, b, np.float32)
+
+
+def _check_lowered_passes(seed, probs, b, dtype):
     c, pins = _lowering_case(seed)
     rng = np.random.default_rng(seed + 1)
     n = c.num_inputs
     if probs == "random":
-        P = rng.uniform(0.0, 1.0, size=(b, n))
+        P = rng.uniform(0.0, 1.0, size=(b, n)).astype(dtype)
     elif probs == "binary":
-        P = rng.integers(0, 2, size=(b, n)).astype(float)
+        P = rng.integers(0, 2, size=(b, n)).astype(dtype)
     else:
-        P = rng.choice(_EDGE_PROBS, size=(b, n))
-    seeds = {net: rng.normal(size=b) for net in pins}
+        P = rng.choice(_EDGE_PROBS[dtype], size=(b, n))
+    seeds = {net: rng.normal(size=b) for net in pins}  # float64: cast to the adjoint's dtype
     want_tape = reference_forward(c, P)
     want_grad = reference_backward(c, want_tape, seeds)
+    assert want_tape.dtype == want_grad.dtype == dtype
     # New arrays, and buffers wider than the batch and full of NaN.
-    for out in (None, np.full((c.num_nets, b + 3), np.nan)):
+    for out in (None, np.full((c.num_nets, b + 3), np.nan, dtype)):
         tape = forward(c, P, out=out)
+        assert tape.values.dtype == dtype
         assert np.array_equal(tape.values, want_tape)
         adj = None if out is None else np.full_like(out, np.nan)
         grad = backward(c, tape, seeds, out=adj)
+        assert grad.dtype == dtype
         assert np.array_equal(grad, want_grad)
     # "lonely" feeds nothing, so no seeded fan-in holds it.
     assert np.all(grad[:, -1] == 0.0)

@@ -154,6 +154,29 @@ def test_sigmoid_bitwise_equals_two_branch_formula():
     assert got[len(edges) - 2 : len(edges)].tolist() == [1.0, 0.0]
 
 
+def test_float32_sigmoid_bitwise_equals_two_branch_formula():
+    # In float32 sigma rounds to 1 from about 16.6, exp(x) overflows above
+    # 88.7 (neither formula evaluates it there), is denormal below -87.3 and
+    # 0 below -103.9.
+    info = np.finfo(np.float32)
+    edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, 1e-40, -1e-40,
+             16.6, -16.6, 17.0, -17.0, 88.7, -88.7, 103.0, -103.0, 104.0, -104.0,
+             info.max, -info.max]
+    x = np.concatenate([np.array(edges, np.float32),
+                        np.random.default_rng(3).normal(0, 20, 4096).astype(np.float32)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x)
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    assert got[:6].tolist() == [0.5] * 6
+    assert got[len(edges) - 2 : len(edges)].tolist() == [1.0, 0.0]
+
+
 class TestGdStepAndHarden:
     def test_worked_example_update(self):
         c, cs = c15_with_pin()
@@ -395,9 +418,10 @@ class TestRunSampling:
         cone = c.compile(ConstraintSet.from_names(c, {"22": 0}))
         n, k = c.num_inputs, len(cone.input_cols)
         cfg = SamplerConfig(batch_size=batch)
-        pair = 2 * cone.circuit.num_nets * min(batch, 8192) * 8
+        size = np.dtype(sampler._FLOAT).itemsize
+        pair = 2 * cone.circuit.num_nets * min(batch, 8192) * size
         need = sampler._check_memory(cfg, cone, n, workers)
-        assert need >= batch * n * 8 + batch * (n - k) + workers * pair
+        assert need >= batch * n * size + batch * (n - k) + workers * pair
 
     def test_absurd_batch_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
@@ -458,6 +482,62 @@ class TestRunSampling:
         r1 = run_sampling(c, cs, cfg)
         r2 = run_sampling(c, cs, cfg)
         assert np.array_equal(r1.full_rows(), r2.full_rows())
+
+
+class TestFloat32Path:
+    def test_run_hands_the_passes_float32_buffers(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 64)
+        calls = []
+
+        def spy(fn):
+            def wrapper(*args, out):
+                result = fn(*args, out=out)
+                calls.append((fn, args, out, result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(sampler, "forward", spy(forward))
+        monkeypatch.setattr(sampler, "backward", spy(backward))
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        run_sampling(c, cs, SamplerConfig(batch_size=150, iterations=2, seed=1))
+        assert {fn for fn, *_ in calls} == {forward, backward} and len(calls) == 2 * 3 * 2
+        for fn, (_, given, *seeds), out, result in calls:
+            assert out.dtype == np.float32
+            if fn is forward:
+                assert given.dtype == result.values.dtype == np.float32
+            else:
+                assert given.values.dtype == result.dtype == np.float32
+                assert all(seed.dtype == np.float32 for seed in seeds[0].values())
+
+    def test_float64_callers_keep_float64_passes(self):
+        c = load("c17.bench")
+        P = np.random.default_rng(0).uniform(0, 1, size=(5, c.num_inputs))
+        tape = forward(c, P)
+        assert tape.values.dtype == np.float64
+        seeds = {c.primary_outputs[0]: np.ones(5, np.float32)}
+        assert backward(c, tape, seeds).dtype == np.float64
+
+    def test_embeddings_are_float32_draws_of_the_float64_stream(self):
+        c, cs = c15_with_pin()
+        V = init_embeddings(SamplerConfig(batch_size=10, seed=6, init_range=2.0), c, cs).V
+        rng = np.random.Generator(np.random.Philox(key=6))
+        assert V.dtype == np.float32
+        assert np.array_equal(V, rng.uniform(-2.0, 2.0, size=(10, c.num_inputs)).astype(np.float32))
+
+    def test_saturated_draws_finish_without_floating_point_errors(self):
+        # At |v| = 1e38 the float32 sigmoid is exactly 0 or 1 and the slope 0.
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"22": 0})
+        cfg = SamplerConfig(batch_size=2000, iterations=4, seed=3, init_range=1e38)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            r = run_sampling(c, cs, cfg)
+        assert len(r) > 0
+        rows = r.full_rows()
+        pins = list(cs.pins)
+        assert np.all(c.eval_batch(rows, nets=pins) == [cs.pins[n] for n in pins])
+        assert {tuple(row) for row in rows.tolist()} <= brute_force_solutions(c, cs)
+        assert all(np.isfinite(s.loss_mean) for s in r.stats)
 
 
 class TestHarvestOnlyChangedRows:
@@ -579,10 +659,11 @@ def test_config_validation():
     "field,value",
     [("learning_rate", float("nan")), ("learning_rate", float("inf")),
      ("learning_rate", float("-inf")), ("init_range", float("nan")),
-     ("init_range", float("inf")), ("init_range", 1e308)],
+     ("init_range", float("inf")), ("init_range", 1e308), ("init_range", 1e39)],
 )
 def test_non_finite_rate_and_range_rejected(field, value):
-    # 1e308 is finite, but Uniform[-a, a] spans 2e308, which overflows.
+    # 1e308 and 1e39 are finite in float64, but V is float32, whose largest
+    # value is about 3.4e38: a larger draw would turn V into +-inf.
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         SamplerConfig(batch_size=4, **{field: value})
 
