@@ -15,13 +15,11 @@ from .parsers import (
     to_blif,
     to_verilog,
 )
-from .probsim import ProbTape, backward, forward, gate_grad, gate_prob
+from .probsim import backward, forward
 from .sampler import (
-    EmbeddingMatrix,
     IterationStats,
     SamplerConfig,
     SolutionSet,
-    gd_step,
     harden,
     init_embeddings,
     loss_and_grad,
@@ -33,9 +31,8 @@ __all__ = [
     "CnfFormula", "tseytin_encode", "write_dimacs", "parse_dimacs",
     "ParseError", "parse_verilog", "parse_blif", "parse_bench", "parse_file",
     "parse_constraints", "to_verilog", "to_blif", "to_bench",
-    "ProbTape", "forward", "backward", "gate_prob", "gate_grad",
-    "SamplerConfig", "EmbeddingMatrix", "IterationStats", "SolutionSet",
-    "init_embeddings", "loss_and_grad", "gd_step", "harden", "run_sampling",
+    "forward", "backward", "SamplerConfig", "IterationStats", "SolutionSet",
+    "init_embeddings", "loss_and_grad", "harden", "run_sampling",
 ]
 
 __version__ = "0.1.0"

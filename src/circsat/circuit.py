@@ -261,25 +261,6 @@ class Circuit:
 
     # -- discrete oracle --------------------------------------------------
 
-    def eval_discrete(self, assignment: dict[str, int]) -> dict[str, int]:
-        """Exact Boolean simulation of one assignment (input name -> bit).
-
-        A one-row `eval_batch`; returns the bit of every primary input and
-        gate output, by name.
-        """
-        row = []
-        for net in self.primary_inputs:
-            name = self.names[net]
-            if name not in assignment:
-                raise CircuitError(f"missing input bit for net '{name}'")
-            bit = int(assignment[name])
-            if bit not in (0, 1):
-                raise CircuitError(f"input '{name}' must be 0 or 1, got {assignment[name]!r}")
-            row.append(bit)
-        nets = self.primary_inputs + [self.gates[gi].output for gi in self.topo_order()]
-        bits = self.eval_batch(np.array([row], dtype=np.uint8), nets=nets)[0]
-        return {self.names[net]: int(bit) for net, bit in zip(nets, bits)}
-
     def eval_batch(self, inputs: np.ndarray, nets: list[int] | None = None) -> np.ndarray:
         """Vectorized discrete simulation of a (b, n) 0/1 matrix.
 
@@ -368,12 +349,8 @@ class Circuit:
         dense = Circuit([self.names[n] for n in nets], list(range(len(cols))),
                         [local[n] for n in pins], gates)
         dense._topo = list(range(len(gates)))
-        local_pins = {local[n]: bit for n, bit in pins.items()}
         constants = {local[n]: const[n] for n in nets if n in const}
-        # The program's circuit compiles its own pins to itself.
-        dense._programs[frozenset(local_pins.items())] = ConeProgram(
-            dense, list(range(len(cols))), local_pins, constants)
-        return ConeProgram(dense, cols, local_pins, constants)
+        return ConeProgram(dense, cols, {local[n]: bit for n, bit in pins.items()}, constants)
 
 
 @dataclass(frozen=True)

@@ -244,11 +244,19 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _expand_cells(manifest: dict, base: Path) -> list[dict]:
+def _expand_cells(manifest: object, base: Path) -> list[dict]:
     """One cell per point of the grid of list-valued options; null options take the default."""
+    raws = manifest.get("cells", []) if isinstance(manifest, dict) else None
+    if not isinstance(raws, list):
+        raise ValueError("expected a JSON object whose 'cells' is a list")
     cells = []
     grid_keys = ["lr", "seed", "batch", "iters"]
-    for raw in manifest.get("cells", []):
+    for i, raw in enumerate(raws):
+        if not isinstance(raw, dict):
+            raise ValueError(f"cell {i} is not a JSON object")
+        if not (all(isinstance(raw.get(key), str) for key in ("circuit", "constraints"))
+                and isinstance(raw.get("format"), (str, type(None)))):
+            raise ValueError(f"cell {i} needs 'circuit', 'constraints' and any 'format' as strings")
         grids = [raw[k] if isinstance(raw.get(k), list) else [raw.get(k)] for k in grid_keys]
         for point in itertools.product(*grids):
             opts = {k: raw.get(k) for k in _DEFAULTS} | dict(zip(grid_keys, point))
@@ -269,11 +277,15 @@ def cmd_bench(args) -> int:
         cells = _expand_cells(manifest, Path(args.manifest).resolve().parent)
         if not cells:
             raise ValueError("manifest contains no cells")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad manifest: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory '{out_dir}': {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     csv_rows = []
     any_failed = False
     for idx, cell in enumerate(cells):

@@ -9,14 +9,15 @@ derivative with respect to one input is the product of the other inputs'
 factors, negated when the gate inverts its reduction.
 
 Each circuit's gates are lowered once to a schedule cached on the circuit.
-The forward pass walks it and records one probability row per net in a tape;
-the backward pass walks it in reverse and carries seed gradients on pinned
-nets down to the primary inputs, writing a net's first contribution into its
-row and adding later ones.  Both run on whatever circuit they are given: the
-sampler gives them the dense cone program of `Circuit.compile`, and with it
-one tape and one adjoint buffer per worker, reused for every chunk of a run
-through the passes' `out=` argument.  Values are exact at binary input
-points, where the relaxation coincides with the discrete circuit.
+The forward pass walks it and returns the tape, a plain (num_nets, b) array
+with one probability row per net; the backward pass takes that array, walks
+the schedule in reverse and carries seed gradients on pinned nets down to
+the primary inputs, writing a net's first contribution into its row and
+adding later ones.  Both run on whatever circuit they are given: the sampler
+gives them the dense cone program of `Circuit.compile`, and with it one tape
+and one adjoint buffer per worker, reused for every chunk of a run through
+the passes' `out=` argument.  Values are exact at binary input points, where
+the relaxation coincides with the discrete circuit.
 
 Both passes run at the precision of their buffers: `out`'s dtype when given,
 else the input's, promoted to at least float32.  The sampler runs them in
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Gate, GateKind
+from .circuit import Circuit, CircuitError
 
 # reduction -> (factor code, a, s) with P(out = 1) = a + s * c for the product
 # c of one factor per input: p for 'and' (code 0), 1 - p for 'or' (1) and
@@ -93,64 +94,10 @@ def _product(rows: list[np.ndarray], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_gate(kind: GateKind, input_probs) -> tuple[Circuit, np.ndarray]:
-    """A circuit of one gate on inputs 0..k-1 with output k, and its (1, k) probabilities."""
-    probs = [float(p) for p in input_probs]
-    k = len(probs)
-    if not kind.arity_ok(k):
-        raise CircuitError(f"{kind.value} gate cannot take {k} inputs")
-    names = [f"i{j}" for j in range(k)] + ["y"]
-    return Circuit(names, list(range(k)), [k], [Gate(kind, tuple(range(k)), k)]), np.array([probs])
-
-
-def gate_prob(kind: GateKind, input_probs) -> float:
-    """Output probability of one gate at scalar input probabilities."""
-    circuit, P = _one_gate(kind, input_probs)
-    for p in P[0]:
-        if not 0.0 <= p <= 1.0:
-            raise CircuitError(f"input probability {p} outside [0, 1]")
-    return float(forward(circuit, P).values[-1, 0])
-
-
-def gate_grad(kind: GateKind, input_probs, input_index: int) -> float:
-    """d(output prob)/d(input prob) for one input of one gate."""
-    circuit, P = _one_gate(kind, input_probs)
-    k = circuit.num_inputs
-    if not 0 <= input_index < k:
-        raise CircuitError(f"input index {input_index} out of range for {k} inputs")
-    tape = forward(circuit, P)
-    return float(backward(circuit, tape, {circuit.num_inputs: np.ones(1)})[0, input_index])
-
-
-@dataclass
-class ProbTape:
-    """Per-net probability rows for one forward pass.
-
-    `values[net_id]` is the (b,) probability row of that net, in the net
-    numbering of the circuit the pass ran on.
-    """
-
-    circuit: Circuit
-    values: np.ndarray  # (num_nets, b)
-
-    @property
-    def batch_size(self) -> int:
-        return self.values.shape[1]
-
-    def net(self, net_id: int) -> np.ndarray:
-        return self.values[net_id]
-
-    def by_name(self, name: str) -> np.ndarray:
-        return self.values[self.circuit.name_to_id[name]]
-
-    def outputs(self) -> np.ndarray:
-        """Y: (b, m) probability matrix over the primary outputs."""
-        return self.values[self.circuit.primary_outputs].T
-
-
-def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = None) -> ProbTape:
+def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Relaxed evaluation of every net for a (b, n) input probability matrix.
 
+    Returns the (num_nets, b) tape: row `net` is that net's probability row.
     With `out`, a (num_nets, >= b) buffer, the tape is written into its
     leading b columns instead of a new array, and the tape is a view of it.
     The tape has `out`'s dtype, else the input's promoted to at least float32.
@@ -189,17 +136,18 @@ def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = 
         elif s != 1.0:
             row *= s
             row += a
-    return ProbTape(circuit, values)
+    return values
 
 
 def backward(
-    circuit: Circuit, tape: ProbTape, seeds: dict[int, np.ndarray], out: np.ndarray | None = None
+    circuit: Circuit, tape: np.ndarray, seeds: dict[int, np.ndarray], out: np.ndarray | None = None
 ) -> np.ndarray:
     """Accumulate seed gradients on pinned nets down to input probabilities.
 
-    `seeds` maps net id -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n),
-    the transpose of a copy of the input rows of the adjoint; inputs outside
-    the fan-in of every seeded net get exactly 0.  With `out`, a
+    `tape` is the (num_nets, b) array of `forward`, and `seeds` maps net id
+    -> (b,) dL/d(p_net).  Returns dL/dP of shape (b, n), the transpose of a
+    copy of the input rows of the adjoint; inputs outside the fan-in of
+    every seeded net get exactly 0.  With `out`, a
     (num_nets, >= b) buffer, the adjoint is accumulated in its leading b
     columns instead of a new array.  The adjoint has `out`'s dtype, else the
     tape's, and the seeds are cast to it.
@@ -208,10 +156,10 @@ def backward(
     to it; rows that nothing reaches are zeroed at the end.  This equals
     accumulating into zeros up to the sign of a zero gradient.
     """
-    b = tape.batch_size
-    adj = np.empty_like(tape.values) if out is None else out[:, :b]
-    if adj.shape != tape.values.shape:
-        raise CircuitError(f"adjoint buffer of shape {out.shape} cannot hold {tape.values.shape}")
+    b = tape.shape[1]
+    adj = np.empty_like(tape) if out is None else out[:, :b]
+    if adj.shape != tape.shape:
+        raise CircuitError(f"adjoint buffer of shape {out.shape} cannot hold {tape.shape}")
     written = [False] * circuit.num_nets
     for net, seed in seeds.items():
         if not 0 <= net < circuit.num_nets:
@@ -224,7 +172,7 @@ def backward(
     for code, _, _, inverted, inputs, output in reversed(sched.gates):
         if not written[output]:
             continue
-        factors = _factors(code, tape.values, inputs, scratch)
+        factors = _factors(code, tape, inputs, scratch)
         for i, net in enumerate(inputs):
             terms = factors[:i] + factors[i + 1 :] + [adj[output]]
             if not written[net]:

@@ -9,17 +9,19 @@ deduplicated solution set, with per-iteration discovery statistics.
 Only inputs in the support cone of the constraints are trained; the rest are
 don't-cares that keep their initial draws.  `run_sampling` compiles the cone
 once (`Circuit.compile`) and runs the relaxed passes, the step and the oracle
-on that dense program alone.  V is drawn from one stream seeded by `seed` in
-chunks of rows, and successive draws continue the stream, so a batch is a
+on that dense program alone: `loss_and_grad` takes the program and a chunk's
+input-major cone rows U and returns dL/dU input-major, and the oracle is the
+program's batched `eval_batch`.  V is drawn from one stream seeded by `seed`
+in chunks of rows, and successive draws continue the stream, so a batch is a
 prefix of any larger batch.  The sampler keeps V input-major, moves the cone
-rows to the front and steps them in place; of the other rows it keeps only
-the hardened bits.  Each worker reuses one tape and one adjoint buffer for
-every chunk of the run, and the sigmoid writes straight into the tape's input
-rows.  The oracle checks every row after every step, but a row that met the
-pins after the last step and kept its cone bits is a fixed point whose key
-was already looked up, so it is not re-harvested.  A chunk's new solutions
-are row views of one block taken from it.  Chunks are harvested in a fixed
-order, so results do not depend on chunking or worker count.
+rows to the front and steps them in place (U -= lr * dL/dU); of the other rows
+it keeps only the hardened bits.  Each worker reuses one tape and one adjoint
+buffer for every chunk of the run, and the sigmoid writes straight into the
+tape's input rows.  The oracle checks every row after every step, but a row
+that met the pins after the last step and kept its cone bits is a fixed point
+whose key was already looked up, so it is not re-harvested.  A chunk's new
+solutions are row views of one block taken from it.  Chunks are harvested in a
+fixed order, so results do not depend on chunking or worker count.
 
 The gradient-descent path runs in float32: V, the sigmoid, the tape, the
 adjoint, the loss and the step (`_FLOAT`).  Precision can change which rows
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import queue
 import time
@@ -69,6 +72,14 @@ class SamplerConfig:
     threads: int = 1  # 0 = one per CPU; affects speed only
 
     def __post_init__(self):
+        for name in ("batch_size", "iterations", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "init_range"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if not 0 < self.learning_rate < math.inf:
@@ -81,12 +92,6 @@ class SamplerConfig:
             raise ValueError("threads must be 0 (one per CPU) or positive")
         if self.dedup_scope not in (DEDUP_CONE, DEDUP_ALL):
             raise ValueError(f"dedup_scope must be '{DEDUP_CONE}' or '{DEDUP_ALL}'")
-
-
-@dataclass
-class EmbeddingMatrix:
-    V: np.ndarray  # (b, n) pre-activations, float32 in the sampler
-    cone_mask: np.ndarray  # (n,) bool, True = trainable
 
 
 @dataclass
@@ -127,29 +132,20 @@ class SolutionSet:
             return np.zeros((0, len(self.all_input_names)), dtype=np.uint8)
         return np.array(list(self.solutions.values()), dtype=np.uint8)
 
-    def cone_keys(self) -> set[tuple[int, ...]]:
-        return {tuple(int(b) for b in row) for row in self.cone_rows()}
 
-
-def init_embeddings(
-    config: SamplerConfig, circuit: Circuit, constraints: ConstraintSet
-) -> EmbeddingMatrix:
-    """V ~ Uniform[-a, a] i.i.d. from one Philox stream keyed by the seed.
+def init_embeddings(config: SamplerConfig, num_inputs: int) -> np.ndarray:
+    """V (b, num_inputs) ~ Uniform[-a, a] i.i.d. from one Philox stream keyed by the seed.
 
     V is drawn in float64 blocks of `_CHUNK_ROWS` rows; successive draws
-    continue the stream, so the rows equal one whole draw.  V is stored as
-    float32, column-major, so `V.T` is input-major.
+    continue the stream, so the rows equal one draw of the full batch.  V is
+    stored as float32, column-major, so `V.T` is input-major.
     """
-    cone = circuit.support_cone(constraints)
-    if not cone:
-        raise CircuitError("constraint cone contains no primary inputs")
-    mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
-    a, b, n = config.init_range, config.batch_size, circuit.num_inputs
+    a, b, n = config.init_range, config.batch_size, num_inputs
     V = np.empty((n, b), _FLOAT).T
     for lo in range(0, b, _CHUNK_ROWS):
         V[lo : lo + _CHUNK_ROWS] = rng.uniform(-a, a, size=(min(_CHUNK_ROWS, b - lo), n))
-    return EmbeddingMatrix(V=V, cone_mask=mask)
+    return V
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -163,46 +159,30 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def loss_and_grad(
-    circuit: Circuit,
-    emb: EmbeddingMatrix,
-    constraints: ConstraintSet,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    cone: ConeProgram, U: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample l2 loss over the pinned nets and dL/dV, on their compiled cone.
+    """Per-sample l2 loss over the program's pins and dL/dU, for cone rows U.
 
-    Gradients are chained through the sigmoid; columns outside the support
-    cone are exactly zero.  Everything runs at V's precision.  `buffers`, a
-    (tape, adjoint) pair of (cone nets, >= b) arrays of V's dtype, are handed
-    to `forward` and `backward` as their `out`, and the sigmoid writes into
-    the tape's input rows; the returned arrays never alias them.
+    U is (cone inputs, b), input-major, and dL/dU comes back in that layout.
+    Gradients are chained through the sigmoid, and everything runs at U's
+    precision.  `buffers`, a (tape, adjoint) pair of (cone nets, >= b) arrays
+    of U's dtype, are handed to `forward` and `backward` as their `out`, and
+    the sigmoid writes into the tape's input rows; the returned arrays never
+    alias them, and U is not written.
     """
     tape_buf, adj_buf = buffers or (None, None)
-    cone = circuit.compile(constraints)
-    whole = len(cone.input_cols) == circuit.num_inputs  # every column is a cone column
-    U = emb.V.T if whole else emb.V[:, cone.input_cols].T  # input-major
     # The program's inputs are nets 0..k-1, so P can sit in the tape's leading
     # rows; a buffer too small for them is left for `forward` to reject.
     rows = None if tape_buf is None else tape_buf[: U.shape[0], : U.shape[1]]
     P = _sigmoid(U, out=rows if rows is not None and rows.shape == U.shape else None)
     tape = forward(cone.circuit, P.T, out=tape_buf)
-    diffs = {net: tape.net(net) - float(target) for net, target in cone.pins.items()}
+    diffs = {net: tape[net] - float(target) for net, target in cone.pins.items()}
     loss = sum(d * d for d in diffs.values())
     seeds = {net: 2.0 * d for net, d in diffs.items()}
     dU = backward(cone.circuit, tape, seeds, out=adj_buf).T  # an input-major copy, ours to scale
     dU *= P
     dU *= np.subtract(1.0, P, out=P)  # P is ours and read no more: no temporary
-    if whole:
-        return loss, dU.T
-    dV = np.zeros_like(emb.V)
-    dV[:, cone.input_cols] = dU.T
-    return loss, dV
-
-
-def gd_step(emb: EmbeddingMatrix, grad: np.ndarray, learning_rate: float) -> EmbeddingMatrix:
-    """Plain gradient descent on the cone columns; others frozen."""
-    V = emb.V.copy()
-    V[:, emb.cone_mask] -= learning_rate * grad[:, emb.cone_mask]
-    return EmbeddingMatrix(V=V, cone_mask=emb.cone_mask)
+    return loss, dU
 
 
 def harden(V: np.ndarray) -> np.ndarray:
@@ -212,7 +192,6 @@ def harden(V: np.ndarray) -> np.ndarray:
 
 def _process_chunk(
     cone: ConeProgram,
-    pins: ConstraintSet,
     learning_rate: float,
     free_cols: list[int],
     buffers: queue.SimpleQueue,
@@ -222,23 +201,22 @@ def _process_chunk(
 ) -> tuple[np.ndarray, float, int]:
     """One GD step on a chunk's input-major cone rows U (in place).
 
-    `pins` are the program's pins, `buffers` the run's (tape, adjoint) pairs
-    and `free_bits` the chunk's input-major don't-care bits.  `met` holds,
+    `buffers` holds the run's (tape, adjoint) pairs and `free_bits` the
+    chunk's input-major don't-care bits.  `met` holds,
     per row, whether it met the pins after the last step; it is updated in
     place.  Returns (full rows that met the pins and may hold a key not yet
     looked up, loss sum, rows that met the pins), none of which aliases a
     buffer.
     """
     before = U >= 0.0  # the cone bits the last step hardened
-    emb = EmbeddingMatrix(V=U.T, cone_mask=np.ones(len(U), dtype=bool))
     pair = buffers.get()
     try:
-        loss, grad = loss_and_grad(cone.circuit, emb, pins, pair)  # the program compiles to itself
+        loss, grad = loss_and_grad(cone, U, pair)
         grad *= learning_rate
-        emb.V -= grad
+        U -= grad
     finally:
         buffers.put(pair)
-    hard = harden(emb.V)
+    hard = harden(U.T)
     got = cone.circuit.eval_batch(hard, nets=list(cone.pins))
     ok = np.all(got == list(cone.pins.values()), axis=1)
     # A row that met the pins last step with the same cone bits was harvested
@@ -306,7 +284,7 @@ def run_sampling(
     chunks = range(0, config.batch_size, _CHUNK_ROWS)
     workers = min(config.threads or os.cpu_count() or 1, len(chunks))
     _check_memory(config, cone, circuit.num_inputs, workers)
-    VT = init_embeddings(config, circuit, constraints).V.T  # input-major (n, b)
+    VT = init_embeddings(config, circuit.num_inputs).T  # input-major (n, b)
     free_cols = sorted(set(range(circuit.num_inputs)) - set(cone.input_cols))
     free_bits = (VT >= 0.0)[free_cols].view(np.uint8)
     # Move the cone rows to the front in place: the columns ascend, so no row
@@ -319,9 +297,7 @@ def run_sampling(
     buffers = queue.SimpleQueue()
     for _ in range(workers):
         buffers.put((np.empty(shape, _FLOAT), np.empty(shape, _FLOAT)))
-    step = functools.partial(
-        _process_chunk, cone, ConstraintSet(cone.pins), config.learning_rate, free_cols, buffers
-    )
+    step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, buffers)
     Us = [U[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
     frees = [free_bits[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
     # Per row: met the pins after the last step.  Chunks own disjoint slices.
@@ -343,7 +319,7 @@ def run_sampling(
             for hard_ok, chunk_loss, chunk_ok in results:  # chunk order fixed => deterministic
                 loss_sum += chunk_loss
                 satisfied += chunk_ok
-                # Keys padded to whole uint64 words; a stable sort over the
+                # Keys padded to full uint64 words; a stable sort over the
                 # words puts each key's first row first among its repeats.
                 packed = np.packbits(hard_ok[:, key_cols], axis=1)
                 width = packed.shape[1]

@@ -12,13 +12,11 @@ import numpy as np
 from circsat import (
     Circuit,
     ConstraintSet,
-    EmbeddingMatrix,
     Gate,
     GateKind,
     SamplerConfig,
     backward,
     forward,
-    gd_step,
     harden,
     parse_file,
 )
@@ -74,6 +72,12 @@ def random_circuit(
     if not sinks:
         sinks = [gates[-1].output]
     return Circuit(names, list(range(n_inputs)), sinks, gates)
+
+
+def one_gate(kind: GateKind, fan_in: int) -> Circuit:
+    """One gate of `kind` on inputs i0..i{fan_in-1} (nets 0..fan_in-1) driving y (net fan_in)."""
+    names = [f"i{j}" for j in range(fan_in)] + ["y"]
+    return Circuit(names, list(range(fan_in)), [fan_in], [Gate(kind, tuple(range(fan_in)), fan_in)])
 
 
 def naive_eval(circuit: Circuit, assignment: dict[str, int]) -> dict[str, int]:
@@ -177,11 +181,11 @@ def reference_backward(circuit: Circuit, values: np.ndarray, seeds: dict[int, np
 def brute_force_solutions(
     circuit: Circuit, constraints: ConstraintSet
 ) -> set[tuple[int, ...]]:
-    """All satisfying full input assignments, by exhaustive enumeration."""
+    """All satisfying full input assignments, by exhaustive enumeration with `naive_eval`."""
     input_names = [circuit.name(n) for n in circuit.primary_inputs]
     sols = set()
     for bits in itertools.product((0, 1), repeat=len(input_names)):
-        values = circuit.eval_discrete(dict(zip(input_names, bits)))
+        values = naive_eval(circuit, dict(zip(input_names, bits)))
         if all(values[circuit.name(net)] == t for net, t in constraints.pins.items()):
             sols.add(bits)
     return sols
@@ -192,7 +196,7 @@ def scalar_loss(circuit: Circuit, P: np.ndarray, constraints: ConstraintSet) -> 
     tape = forward(circuit, P)
     loss = np.zeros(P.shape[0])
     for net, t in constraints.pins.items():
-        loss += (tape.net(net) - t) ** 2
+        loss += (tape[net] - t) ** 2
     return loss
 
 
@@ -227,29 +231,27 @@ def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: Sam
 
     One (batch, n) draw, cast to float32 as the sampler stores it; per
     iteration a whole-circuit forward and backward (float32, the dtype of
-    their input), a masked `gd_step`, `harden`, `eval_batch` over the whole
-    circuit and a row-by-row dedup.  Returns (keys, rows, per-iteration
-    (new, cumulative)).
+    their input), a step on the support cone's columns only, `harden`,
+    `eval_batch` over the whole circuit and a row-by-row dedup.  Returns
+    (keys, rows, per-iteration (new, cumulative)).
     """
     cone = circuit.support_cone(constraints)
     mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
     a = config.init_range
     V = rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs)).astype(np.float32)
-    emb = EmbeddingMatrix(V=V, cone_mask=mask)
     key_cols = mask if config.dedup_scope == "cone" else np.ones_like(mask)
     pins = list(constraints.pins)
     want = np.array([constraints.pins[n] for n in pins], dtype=np.uint8)
     solutions: dict[bytes, list[int]] = {}
     counts = []
     for _ in range(config.iterations):
-        P = two_branch_sigmoid(emb.V)
+        P = two_branch_sigmoid(V)
         tape = forward(circuit, P)
-        seeds = {net: 2.0 * (tape.net(net) - float(t)) for net, t in constraints.pins.items()}
+        seeds = {net: 2.0 * (tape[net] - float(t)) for net, t in constraints.pins.items()}
         dV = backward(circuit, tape, seeds) * P * (1.0 - P)
-        dV[:, ~mask] = 0.0
-        emb = gd_step(emb, dV, config.learning_rate)
-        hard = harden(emb.V)
+        V[:, mask] -= config.learning_rate * dV[:, mask]
+        hard = harden(V)
         ok = np.all(circuit.eval_batch(hard, nets=pins) == want, axis=1)
         new = 0
         for row in hard[ok]:

@@ -20,7 +20,6 @@ from circsat import (
     SamplerConfig,
     forward,
     backward,
-    gd_step,
     harden,
     init_embeddings,
     loss_and_grad,
@@ -28,7 +27,6 @@ from circsat import (
     run_sampling,
     tseytin_encode,
 )
-from circsat.sampler import EmbeddingMatrix
 
 from dpll import all_models
 from helpers import (
@@ -37,6 +35,7 @@ from helpers import (
     fd_input_grads,
     iscas_path,
     load,
+    naive_eval,
     random_circuit,
 )
 
@@ -110,17 +109,15 @@ def _worked_example_embeddings(circuit):
     V[:, cols["G3"]] = [0.1, -0.2]
     V[:, cols["G6"]] = [0.5, -0.4]
     V[:, cols["G7"]] = [-0.7, -0.8]
-    cone = circuit.support_cone(ConstraintSet.from_names(circuit, {"G19": 1}))
-    mask = np.array([n in cone for n in circuit.primary_inputs])
-    return EmbeddingMatrix(V=V, cone_mask=mask), cols
+    return V, cols
 
 
 def test_criterion_1_worked_example_goldens():
     with criterion(1, budget_s=1.0):
         c = load("c15.v")
         cs = ConstraintSet.from_names(c, {"G19": 1})
-        emb, cols = _worked_example_embeddings(c)
-        P = 1.0 / (1.0 + np.exp(-emb.V))
+        V, cols = _worked_example_embeddings(c)
+        P = 1.0 / (1.0 + np.exp(-V))
 
         approx4 = lambda want: pytest.approx(want, abs=1e-4)
         assert P[:, cols["G3"]] == approx4([0.5250, 0.4502])
@@ -128,22 +125,24 @@ def test_criterion_1_worked_example_goldens():
         assert P[:, cols["G7"]] == approx4([0.3318, 0.3100])
 
         tape = forward(c, P)
-        assert tape.by_name("G11") == approx4([0.4939, 0.4902])
-        assert tape.by_name("G19") == approx4([0.1639, 0.1520])
+        assert tape[c.name_to_id["G11"]] == approx4([0.4939, 0.4902])
+        assert tape[c.name_to_id["G19"]] == approx4([0.1639, 0.1520])
 
-        loss, grad = loss_and_grad(c, emb, cs)
-        assert loss == approx4([0.6991, 0.7192])
-        assert grad[:, cols["G3"]] == approx4([0.0339, -0.0257])
-        assert grad[:, cols["G6"]] == approx4([0.0065, -0.0126])
-        assert grad[:, cols["G7"]] == approx4([-0.1831, -0.1778])
-
-        stepped = gd_step(emb, grad, learning_rate=10.0)
-        assert stepped.V[:, cols["G3"]] == approx4([-0.2389, 0.0569])
-        assert stepped.V[:, cols["G6"]] == approx4([0.4349, -0.2741])
-        assert stepped.V[:, cols["G7"]] == approx4([1.1311, 0.9783])
-
-        hard = harden(stepped.V)
+        cone = c.compile(cs)
         trained = [cols["G3"], cols["G6"], cols["G7"]]
+        assert cone.input_cols == trained
+        loss, grad = loss_and_grad(cone, V[:, trained].T)  # U and dL/dU are input-major
+        assert loss == approx4([0.6991, 0.7192])
+        assert grad[0] == approx4([0.0339, -0.0257])
+        assert grad[1] == approx4([0.0065, -0.0126])
+        assert grad[2] == approx4([-0.1831, -0.1778])
+
+        V[:, trained] -= 10.0 * grad.T
+        assert V[:, cols["G3"]] == approx4([-0.2389, 0.0569])
+        assert V[:, cols["G6"]] == approx4([0.4349, -0.2741])
+        assert V[:, cols["G7"]] == approx4([1.1311, 0.9783])
+
+        hard = harden(V)
         assert hard[0, trained].tolist() == [0, 1, 1]
         assert hard[1, trained].tolist() == [1, 0, 1]
 
@@ -157,7 +156,7 @@ def test_criterion_2_binary_point_exactness():
             rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
             tape = forward(c, rows.astype(float))
             ref = c.eval_batch(rows, nets=list(range(c.num_nets)))
-            assert np.array_equal(tape.values.T, ref)
+            assert np.array_equal(tape.T, ref)
 
 
 def test_criterion_3_gradients_match_finite_differences():
@@ -169,7 +168,7 @@ def test_criterion_3_gradients_match_finite_differences():
             cs = ConstraintSet({net: int(rng.integers(0, 2)) for net in c.primary_outputs})
             P = rng.uniform(0.05, 0.95, size=(2, n))
             tape = forward(c, P)
-            seeds = {net: 2.0 * (tape.net(net) - t) for net, t in cs.pins.items()}
+            seeds = {net: 2.0 * (tape[net] - t) for net, t in cs.pins.items()}
             got = backward(c, tape, seeds)
             want = fd_input_grads(c, P, cs)
             err = np.abs(got - want)
@@ -230,7 +229,7 @@ def test_criterion_6_cnf_cross_validation():
         assert len(result) > 0
         names = [c.name(n) for n in c.primary_inputs]
         for row in result.full_rows():
-            values = c.eval_discrete(dict(zip(names, (int(b) for b in row))))
+            values = naive_eval(c, dict(zip(names, row.tolist())))
             assign = {cnf.var_map[n]: values[c.name(n)] for n in range(c.num_nets)}
             assert all(
                 any((lit > 0) == bool(assign[abs(lit)]) for lit in clause)
@@ -296,6 +295,4 @@ def test_criterion_8_determinism_and_parallel_equivalence():
 
         # Same seed also gives identical initial embeddings.
         config = SamplerConfig(batch_size=1000, seed=7)
-        e1 = init_embeddings(config, c, cs)
-        e2 = init_embeddings(config, c, cs)
-        assert np.array_equal(e1.V, e2.V)
+        assert np.array_equal(init_embeddings(config, c.num_inputs), init_embeddings(config, c.num_inputs))

@@ -96,60 +96,55 @@ class TestTopoOrder:
             c.topo_order()
 
 
+ALL_ROWS5 = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+
+
 class TestEvalDiscrete:
     def test_c15_g19_example(self):
-        c = load("c15.v")
-        for g1 in (0, 1):
-            for g2 in (0, 1):
-                vals = c.eval_discrete({"G1": g1, "G2": g2, "G3": 0, "G6": 1, "G7": 1})
-                assert vals["G19"] == 1
+        c = load("c15.v")  # inputs G1, G2, G3, G6, G7
+        rows = [[g1, g2, 0, 1, 1] for g1 in (0, 1) for g2 in (0, 1)]
+        assert c.eval_batch(np.array(rows), nets=[c.name_to_id["G19"]]).tolist() == [[1]] * 4
 
     def test_and_all_zero(self):
         c = Circuit(["a", "b", "y"], [0, 1], [2], [Gate(GateKind.AND, (0, 1), 2)])
-        assert c.eval_discrete({"a": 0, "b": 0})["y"] == 0
-
-    def test_missing_input_names_net(self):
-        c = load("c15.v")
-        with pytest.raises(CircuitError, match="G7"):
-            c.eval_discrete({"G1": 0, "G2": 0, "G3": 0, "G6": 0})
+        assert c.eval_batch(np.array([[0, 0]]))[0, 0] == 0
 
     def test_c17_truth_table_against_naive_evaluator(self):
         c = load("c17.bench")
         names = [c.name(n) for n in c.primary_inputs]
-        for bits in itertools.product((0, 1), repeat=5):
-            assignment = dict(zip(names, bits))
-            got = c.eval_discrete(assignment)
-            ref = naive_eval(c, assignment)
-            assert got == ref
+        got = c.eval_batch(ALL_ROWS5, nets=list(range(c.num_nets)))
+        for bits, row in zip(ALL_ROWS5.tolist(), got.tolist()):
+            assert dict(zip(c.names, row)) == naive_eval(c, dict(zip(names, bits)))
 
     def test_c17_hand_evaluated_rows(self):
         # Four rows checked by hand through the six NANDs.
         c = load("c17.bench")
+        assert [c.name(n) for n in c.primary_inputs] == ["1", "2", "3", "6", "7"]
         cases = [
             ((0, 0, 0, 0, 0), (0, 0)),
             ((1, 1, 1, 1, 1), (1, 0)),
             ((0, 1, 1, 1, 0), (0, 0)),
             ((1, 0, 1, 0, 1), (1, 1)),
         ]
-        for bits, (g22, g23) in cases:
-            vals = c.eval_discrete(dict(zip(["1", "2", "3", "6", "7"], bits)))
-            assert (vals["22"], vals["23"]) == (g22, g23)
+        rows = np.array([bits for bits, _ in cases])
+        got = c.eval_batch(rows, nets=[c.name_to_id["22"], c.name_to_id["23"]])
+        assert [tuple(r) for r in got.tolist()] == [out for _, out in cases]
 
     def test_random_circuits_match_naive_evaluator(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             c = random_circuit(rng, n_inputs=5, n_gates=20)
-            for bits in itertools.product((0, 1), repeat=5):
+            got = c.eval_batch(ALL_ROWS5, nets=list(range(c.num_nets)))
+            for bits, row in zip(ALL_ROWS5.tolist(), got.tolist()):
                 assignment = {f"i{k}": b for k, b in enumerate(bits)}
-                assert c.eval_discrete(assignment) == naive_eval(c, assignment)
+                assert dict(zip(c.names, row)) == naive_eval(c, assignment)
 
     def test_eval_batch_matches_eval_discrete(self):
+        # The primary outputs of every row against the independent evaluator.
         c = load("c15.v")
         names = [c.name(n) for n in c.primary_inputs]
-        rows = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
-        out = c.eval_batch(rows)
-        for row, got in zip(rows, out):
-            vals = c.eval_discrete(dict(zip(names, row)))
+        for row, got in zip(ALL_ROWS5.tolist(), c.eval_batch(ALL_ROWS5)):
+            vals = naive_eval(c, dict(zip(names, row)))
             assert [vals[c.name(n)] for n in c.primary_outputs] == list(got)
 
 
@@ -189,18 +184,14 @@ class TestSupportCone:
             pin_net = c.primary_outputs[0]
             cs = ConstraintSet({pin_net: 1})
             cone = c.support_cone(cs)
-            outside = [n for n in c.primary_inputs if n not in cone]
-            names = [c.name(n) for n in c.primary_inputs]
-            for bits in itertools.product((0, 1), repeat=6):
-                base = c.eval_discrete(dict(zip(names, bits)))[c.name(pin_net)]
-                for k, net in enumerate(c.primary_inputs):
-                    if net not in outside:
-                        continue
-                    flipped = list(bits)
-                    flipped[k] ^= 1
-                    assert (
-                        c.eval_discrete(dict(zip(names, flipped)))[c.name(pin_net)] == base
-                    )
+            rows = np.array(list(itertools.product((0, 1), repeat=6)), dtype=np.uint8)
+            base = c.eval_batch(rows, nets=[pin_net])
+            for k, net in enumerate(c.primary_inputs):
+                if net in cone:
+                    continue
+                flipped = rows.copy()
+                flipped[:, k] ^= 1
+                assert np.array_equal(c.eval_batch(flipped, nets=[pin_net]), base)
 
 
 def test_constraint_on_unknown_net_rejected():

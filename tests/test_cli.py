@@ -531,6 +531,25 @@ class TestBench:
         assert (c17 / "out" / "cell000.error.txt").exists()
         assert (c17 / "out" / "cell001.stats.json").exists()
 
+    C17_CELL = {"circuit": "c17.bench", "constraints": "pin2.txt", "batch": 100, "iters": 1}
+
+    @pytest.mark.parametrize("manifest,out_dir,code,message", [
+        ([1], "out", 2, "error: bad manifest: expected a JSON object"),
+        ({"cells": [1]}, "out", 2, "error: bad manifest: cell 0 is not a JSON object"),
+        ({"cells": [C17_CELL | {"circuit": 17}]}, "out", 2, "error: bad manifest: cell 0 needs"),
+        ({"cells": [C17_CELL | {"constraints": ["pin2.txt"]}]}, "out", 2, "error: bad manifest: cell 0 needs"),
+        ({"cells": [C17_CELL | {"format": ["bench"]}]}, "out", 2, "error: bad manifest: cell 0 needs"),
+        ({"cells": [C17_CELL | {"batch": "100"}]}, "out", 4,
+         "cell000: FAILED: batch_size must be an integer, got '100'"),
+        ({"cells": [C17_CELL]}, "c17.bench", 2, "error: cannot create output directory"),
+    ], ids=["not-an-object", "cell-not-an-object", "circuit-not-a-string",
+            "constraints-not-a-string", "format-not-a-string", "batch-a-string", "out-dir-a-file"])
+    def test_malformed_manifest_or_out_dir_is_reported(self, c17, capsys, manifest, out_dir, code, message):
+        (c17 / "manifest.json").write_text(json.dumps(manifest))
+        assert run("bench", "--manifest", str(c17 / "manifest.json"),
+                   "--out-dir", str(c17 / out_dir)) == code
+        assert message in capsys.readouterr().err
+
     def test_empty_manifest_is_input_error(self, tmp_path):
         (tmp_path / "m.json").write_text("{}")
         assert run("bench", "--manifest", str(tmp_path / "m.json"),

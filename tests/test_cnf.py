@@ -18,7 +18,7 @@ from circsat import (
 )
 
 from dpll import all_models
-from helpers import brute_force_solutions, load, naive_eval, random_circuit
+from helpers import brute_force_solutions, load, naive_eval, one_gate, random_circuit
 
 
 def cnf_input_projections(circuit, cnf):
@@ -71,9 +71,7 @@ class TestTseytinEncode:
             (GateKind.XNOR, 4, 12),
         ]
         for kind, f, want in cases:
-            names = [f"i{k}" for k in range(f)] + ["y"]
-            c = Circuit(names, list(range(f)), [f], [Gate(kind, tuple(range(f)), f)])
-            cnf = tseytin_encode(c)
+            cnf = tseytin_encode(one_gate(kind, f))
             assert len(cnf.clauses) == want, kind
             aux = max(0, f - 2) if kind in (GateKind.XOR, GateKind.XNOR) else 0
             assert cnf.var_count == f + 1 + aux
@@ -108,7 +106,7 @@ class TestTseytinEncode:
         assert len(result) > 0
         names = [c.name(n) for n in c.primary_inputs]
         for row in result.full_rows():
-            values = c.eval_discrete(dict(zip(names, (int(b) for b in row))))
+            values = naive_eval(c, dict(zip(names, row.tolist())))
             assign = {cnf.var_map[n]: values[c.name(n)] for n in range(c.num_nets)}
             for clause in cnf.clauses:
                 assert any((lit > 0) == bool(assign[abs(lit)]) for lit in clause)
@@ -131,9 +129,8 @@ ONE_GATE_CASES = [
 )
 def test_one_gate_evaluators_agree(kind, fan_in):
     """CNF, relaxed forward, oracle and the naive reference agree on one gate."""
-    names = [f"i{k}" for k in range(fan_in)] + ["y"]
-    gate = Gate(kind, tuple(range(fan_in)), fan_in)
-    c = Circuit(names, list(range(fan_in)), [fan_in], [gate])
+    c = one_gate(kind, fan_in)
+    names = c.names[:fan_in]
     for bit in (0, 1):
         cs = ConstraintSet({fan_in: bit})
         assert cnf_input_projections(c, tseytin_encode(c, cs)) == brute_force_solutions(c, cs)
@@ -142,7 +139,7 @@ def test_one_gate_evaluators_agree(kind, fan_in):
     reference = [naive_eval(c, dict(zip(names, row)))["y"] for row in points.tolist()]
     assert [kind.truth(row) for row in points] == reference
     assert c.eval_batch(points)[:, 0].tolist() == reference
-    assert forward(c, points.astype(float)).by_name("y").tolist() == reference
+    assert forward(c, points.astype(float))[fan_in].tolist() == reference
 
 
 class TestWriteDimacs:

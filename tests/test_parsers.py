@@ -159,10 +159,10 @@ class TestBlif:
         cv = load("c15.v")
         cb = load("c15.blif")
         names = [cv.name(n) for n in cv.primary_inputs]
-        for bits in itertools.product((0, 1), repeat=5):
-            a = dict(zip(names, bits))
-            va, vb = cv.eval_discrete(a), cb.eval_discrete(a)
-            assert (va["G19"], va["G22"]) == (vb["G19"], vb["G22"])
+        rows = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        by_name = [names.index(cb.name(n)) for n in cb.primary_inputs]  # cb's column order
+        outs = lambda c, r: c.eval_batch(r, nets=[c.name_to_id["G19"], c.name_to_id["G22"]])
+        assert np.array_equal(outs(cv, rows), outs(cb, rows[:, by_name]))
 
 
 class TestBench:

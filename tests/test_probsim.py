@@ -13,14 +13,13 @@ from circsat import (
     GateKind,
     backward,
     forward,
-    gate_grad,
-    gate_prob,
 )
 
 from helpers import (
     fd_input_grads,
     load,
     naive_eval,
+    one_gate,
     random_circuit,
     reference_backward,
     reference_forward,
@@ -34,26 +33,22 @@ BINARY_KINDS = [
 
 
 class TestGateProb:
+    # One gate's output probability: the last row of its tape.
     def test_worked_example_xor(self):
-        assert gate_prob(GateKind.XOR, [0.5250, 0.6225]) == pytest.approx(0.4939, abs=1e-4)
+        assert forward(one_gate(GateKind.XOR, 2), [[0.5250, 0.6225]])[-1, 0] == pytest.approx(0.4939, abs=1e-4)
 
     def test_worked_example_and(self):
-        assert gate_prob(GateKind.AND, [0.4939, 0.3318]) == pytest.approx(0.1639, abs=1e-4)
+        assert forward(one_gate(GateKind.AND, 2), [[0.4939, 0.3318]])[-1, 0] == pytest.approx(0.1639, abs=1e-4)
 
     def test_nand_binary_point(self):
-        assert gate_prob(GateKind.NAND, [1.0, 1.0]) == 0.0
+        assert forward(one_gate(GateKind.NAND, 2), [[1.0, 1.0]])[-1, 0] == 0.0
 
     def test_three_input_xor_at_half(self):
         # Fold of the binary formula; equals the parity probability 0.5.
-        assert gate_prob(GateKind.XOR, [0.5, 0.5, 0.5]) == pytest.approx(0.5)
+        assert forward(one_gate(GateKind.XOR, 3), [[0.5, 0.5, 0.5]])[-1, 0] == pytest.approx(0.5)
 
     def test_arity_violation(self):
-        with pytest.raises(CircuitError):
-            gate_prob(GateKind.NOT, [0.5, 0.5])
-
-    def test_input_outside_unit_interval(self):
-        with pytest.raises(CircuitError):
-            gate_prob(GateKind.AND, [0.5, 1.5])
+        assert any("bad fan-in" in d for d in one_gate(GateKind.NOT, 2).validate())
 
     @given(
         kind=st.sampled_from([k for k in BINARY_KINDS if k not in (GateKind.NOT, GateKind.BUF)]),
@@ -61,7 +56,7 @@ class TestGateProb:
     )
     @settings(max_examples=200, deadline=None)
     def test_range_preserved(self, kind, probs):
-        assert 0.0 <= gate_prob(kind, probs) <= 1.0
+        assert 0.0 <= forward(one_gate(kind, len(probs)), [probs])[-1, 0] <= 1.0
 
     @given(
         kind=st.sampled_from(BINARY_KINDS),
@@ -71,24 +66,24 @@ class TestGateProb:
     def test_binary_points_match_discrete_gate(self, kind, bits):
         if kind in (GateKind.NOT, GateKind.BUF):
             bits = bits[:1]
-        assert gate_prob(kind, [float(b) for b in bits]) == kind.truth(bits)
+        assert forward(one_gate(kind, len(bits)), [bits])[-1, 0] == kind.truth(bits)
 
 
 class TestGateGrad:
+    # d(output prob)/d(input probs) of one gate: backward from a unit seed on its output.
     def test_worked_example_xor_second_input(self):
-        got = gate_grad(GateKind.XOR, [0.5250, 0.6225], 0)
+        c = one_gate(GateKind.XOR, 2)
+        got = backward(c, forward(c, [[0.5250, 0.6225]]), {2: np.ones(1)})[0, 0]
         assert got == pytest.approx(1 - 2 * 0.6225, abs=1e-12)
 
     def test_not_is_minus_one(self):
-        assert gate_grad(GateKind.NOT, [0.37], 0) == -1.0
+        c = one_gate(GateKind.NOT, 1)
+        assert backward(c, forward(c, [[0.37]]), {1: np.ones(1)})[0, 0] == -1.0
 
     def test_three_input_and_by_finite_difference(self):
-        got = gate_grad(GateKind.AND, [0.5, 0.5, 0.5], 0)
+        c = one_gate(GateKind.AND, 3)
+        got = backward(c, forward(c, [[0.5, 0.5, 0.5]]), {3: np.ones(1)})[0, 0]
         assert got == pytest.approx(0.25, abs=1e-9)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(CircuitError):
-            gate_grad(GateKind.AND, [0.5, 0.5], 2)
 
     @pytest.mark.parametrize("kind", BINARY_KINDS)
     @pytest.mark.parametrize("fan_in", [1, 2, 3, 4])
@@ -99,14 +94,16 @@ class TestGateGrad:
         elif fan_in < 2:
             pytest.skip("fan-in >= 2")
         rng = np.random.default_rng(hash((kind.value, fan_in)) % 2**32)
-        probs = rng.uniform(0.1, 0.9, size=fan_in)
+        P = rng.uniform(0.1, 0.9, size=(1, fan_in))
+        c = one_gate(kind, fan_in)
+        grad = backward(c, forward(c, P), {fan_in: np.ones(1)})[0]
         h = 1e-6
         for i in range(fan_in):
-            up, down = probs.copy(), probs.copy()
-            up[i] += h
-            down[i] -= h
-            fd = (gate_prob(kind, up) - gate_prob(kind, down)) / (2 * h)
-            assert gate_grad(kind, probs, i) == pytest.approx(fd, abs=1e-7)
+            up, down = P.copy(), P.copy()
+            up[0, i] += h
+            down[0, i] -= h
+            fd = (forward(c, up)[-1, 0] - forward(c, down)[-1, 0]) / (2 * h)
+            assert grad[i] == pytest.approx(fd, abs=1e-7)
 
 
 class TestForward:
@@ -118,8 +115,8 @@ class TestForward:
         P[:, cols["G6"]] = [0.6225, 0.4013]
         P[:, cols["G7"]] = [0.3318, 0.3100]
         tape = forward(c, P)
-        assert tape.by_name("G11") == pytest.approx([0.4939, 0.4902], abs=1e-4)
-        assert tape.by_name("G19") == pytest.approx([0.1639, 0.1520], abs=1e-4)
+        assert tape[c.name_to_id["G11"]] == pytest.approx([0.4939, 0.4902], abs=1e-4)
+        assert tape[c.name_to_id["G19"]] == pytest.approx([0.1639, 0.1520], abs=1e-4)
 
     def test_binary_rows_equal_discrete_eval(self):
         rng = np.random.default_rng(2)
@@ -128,7 +125,7 @@ class TestForward:
             rows = rng.integers(0, 2, size=(64, 6))
             tape = forward(c, rows.astype(float))
             ref = c.eval_batch(rows, nets=list(range(c.num_nets)))
-            assert np.array_equal(tape.values.T, ref)
+            assert np.array_equal(tape.T, ref)
 
     def test_range_preservation_random_circuits(self):
         rng = np.random.default_rng(3)
@@ -136,12 +133,12 @@ class TestForward:
             c = random_circuit(rng, n_inputs=5, n_gates=30)
             P = rng.uniform(0, 1, size=(25, 5))
             tape = forward(c, P)
-            assert np.all(tape.values >= 0.0) and np.all(tape.values <= 1.0)
+            assert np.all(tape >= 0.0) and np.all(tape <= 1.0)
 
     def test_outputs_shape(self):
         c = load("c15.v")
         tape = forward(c, np.full((7, 5), 0.5))
-        assert tape.outputs().shape == (7, 2)
+        assert tape[c.primary_outputs].T.shape == (7, 2)
 
     def test_batch_rows_independent(self):
         c = load("c15.v")
@@ -150,7 +147,7 @@ class TestForward:
         perm = rng.permutation(16)
         t1 = forward(c, P)
         t2 = forward(c, P[perm])
-        assert np.array_equal(t1.values[:, perm], t2.values)
+        assert np.array_equal(t1[:, perm], t2)
 
     def test_shape_mismatch(self):
         c = load("c15.v")
@@ -168,7 +165,7 @@ class TestBackward:
         P[:, cols["G7"]] = [0.3318, 0.3100]
         tape = forward(c, P)
         g19 = c.name_to_id["G19"]
-        seeds = {g19: 2.0 * (tape.net(g19) - 1.0)}
+        seeds = {g19: 2.0 * (tape[g19] - 1.0)}
         dP = backward(c, tape, seeds)
         # dL/dp_G3 then the sigmoid factor sigma'(0.1) = 0.5250 * 0.4750.
         assert dP[0, cols["G3"]] * 0.5250 * 0.4750 == pytest.approx(0.0339, abs=1e-4)
@@ -214,7 +211,7 @@ class TestBackward:
             cs = ConstraintSet({net: int(rng.integers(0, 2)) for net in c.primary_outputs})
             P = rng.uniform(0.05, 0.95, size=(2, 5))
             tape = forward(c, P)
-            seeds = {net: 2.0 * (tape.net(net) - t) for net, t in cs.pins.items()}
+            seeds = {net: 2.0 * (tape[net] - t) for net, t in cs.pins.items()}
             got = backward(c, tape, seeds)
             want = fd_input_grads(c, P, cs)
             err = np.abs(got - want)
@@ -230,7 +227,7 @@ class TestBackward:
 
         def grads(Pm):
             tape = forward(c, Pm)
-            return backward(c, tape, {g19: 2.0 * (tape.net(g19) - 1.0)})
+            return backward(c, tape, {g19: 2.0 * (tape[g19] - 1.0)})
 
         assert np.array_equal(grads(P)[perm], grads(P[perm]))
 
@@ -243,7 +240,7 @@ def test_exhaustive_binary_exactness_small_circuits():
         rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
         tape = forward(c, rows)
         ref = c.eval_batch(rows.astype(np.uint8), nets=list(range(c.num_nets)))
-        assert np.array_equal(tape.values.T, ref)
+        assert np.array_equal(tape.T, ref)
 
 
 def _lowering_case(seed: int) -> tuple[Circuit, dict[int, int]]:
@@ -320,8 +317,8 @@ def _check_lowered_passes(seed, probs, b, dtype):
     # New arrays, and buffers wider than the batch and full of NaN.
     for out in (None, np.full((c.num_nets, b + 3), np.nan, dtype)):
         tape = forward(c, P, out=out)
-        assert tape.values.dtype == dtype
-        assert np.array_equal(tape.values, want_tape)
+        assert tape.dtype == dtype
+        assert np.array_equal(tape, want_tape)
         adj = None if out is None else np.full_like(out, np.nan)
         grad = backward(c, tape, seeds, out=adj)
         assert grad.dtype == dtype
@@ -336,7 +333,7 @@ def _check_lowered_passes(seed, probs, b, dtype):
         for row, want in zip(bits, got):
             ref = naive_eval(c, dict(zip(names, row.tolist())))
             assert [ref[c.name(i)] for i in nets] == want.tolist()
-        assert np.array_equal(tape.values.T, got)
+        assert np.array_equal(tape.T, got)
 
 
 class TestForwardInputRows:
@@ -344,7 +341,7 @@ class TestForwardInputRows:
         c = load("c17.bench")
         cone = c.compile(ConstraintSet.from_names(c, {"22": 0, "23": 1})).circuit
         P = np.random.default_rng(5).uniform(0, 1, size=(6, cone.num_inputs))
-        return cone, P, forward(cone, P).values
+        return cone, P, forward(cone, P)
 
     def test_probabilities_already_in_the_leading_input_rows_are_used_in_place(self):
         cone, P, want = self._case()
@@ -352,7 +349,7 @@ class TestForwardInputRows:
         buf = np.full((cone.num_nets, b + 2), np.nan)
         buf[:k, :b] = P.T
         tape = forward(cone, buf[:k, :b].T, out=buf)
-        assert np.array_equal(tape.values, want)
+        assert np.array_equal(tape, want)
 
     def test_probabilities_elsewhere_in_the_buffer_are_copied(self):
         cone, P, want = self._case()
@@ -360,9 +357,9 @@ class TestForwardInputRows:
         # The input rows one row down: they overlap the tape's input rows.
         buf = np.full((cone.num_nets, b), np.nan)
         buf[1 : k + 1] = P.T
-        assert np.array_equal(forward(cone, buf[1 : k + 1].T, out=buf).values, want)
+        assert np.array_equal(forward(cone, buf[1 : k + 1].T, out=buf), want)
         # Same first element as the tape's input rows but laid out row-major.
         buf = np.full((cone.num_nets, b), np.nan)
         inputs = buf.reshape(-1)[: b * k].reshape(b, k)
         inputs[...] = P
-        assert np.array_equal(forward(cone, inputs, out=buf).values, want)
+        assert np.array_equal(forward(cone, inputs, out=buf), want)

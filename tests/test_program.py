@@ -6,7 +6,9 @@ tests check it bit for bit against the same passes over the whole circuit,
 check constant folding, and show that the relaxed forward needs no clipping.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from circsat import (
     run_sampling,
 )
 
-from helpers import random_circuit
+from helpers import load, one_gate, random_circuit
 
 EDGE_PROBS = np.array([0.0, 1.0, 5e-324, 1e-300, 0.5, np.nextafter(0.5, 0.0),
                        np.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-12, 0.25])
@@ -71,7 +73,7 @@ def test_program_equals_whole_circuit_at_every_cone_net(circuit_seed, n_inputs, 
     P = probabilities(rng, 16, c.num_inputs)
     whole = forward(c, P)
     local = forward(prog, P[:, cone.input_cols])
-    assert local.values.tobytes() == whole.values[glob].tobytes()
+    assert local.tobytes() == whole[glob].tobytes()
 
     seeds = {net: rng.normal(size=16) for net in cs.pins}
     dP = backward(c, whole, seeds)
@@ -113,8 +115,8 @@ def test_passes_into_reused_buffers_equal_allocating_passes(circuit_seed, n_inpu
         adj_buf = np.full((circuit.num_nets, b + spare), np.nan)
         for _ in range(2):  # the second pass finds the first one's values in the buffers
             into = forward(circuit, probs, out=tape_buf)
-            assert np.shares_memory(into.values, tape_buf)
-            assert into.values.tobytes() == tape.values.tobytes()
+            assert np.shares_memory(into, tape_buf)
+            assert into.tobytes() == tape.tobytes()
             grad_into = backward(circuit, into, {pin: seed}, out=adj_buf)
             assert not np.shares_memory(grad_into, adj_buf)
             assert grad_into.tobytes() == grad.tobytes()
@@ -126,7 +128,7 @@ def test_forward_into_a_buffer_zeroes_undriven_nets():
     c = Circuit(["a", "u", "y"], [0], [2], [Gate(GateKind.AND, (0, 1), 2)])
     P = np.array([[0.25], [1.0]])
     buf = np.full((3, 2), np.nan)
-    assert forward(c, P, out=buf).values.tobytes() == forward(c, P).values.tobytes()
+    assert forward(c, P, out=buf).tobytes() == forward(c, P).tobytes()
     assert np.all(buf[1] == 0.0)
 
 
@@ -164,15 +166,13 @@ def test_forward_needs_no_clip_one_gate_at_edge_probabilities():
         for fan_in in range(5):
             if not kind.arity_ok(fan_in):
                 continue
-            names = [f"i{j}" for j in range(fan_in)] + ["y"]
-            c = Circuit(names, list(range(fan_in)), [fan_in],
-                        [Gate(kind, tuple(range(fan_in)), fan_in)])
+            c = one_gate(kind, fan_in)
             if fan_in <= 3:  # every combination of edge values
                 points = list(itertools.product(EDGE_PROBS, repeat=fan_in))
             else:
                 points = np.random.default_rng(fan_in).choice(EDGE_PROBS, size=(4096, fan_in))
             P = np.array(points, dtype=float).reshape(len(points), fan_in)
-            values = forward(c, P).values
+            values = forward(c, P)
             assert values.tobytes() == _clipped_forward(c, P).tobytes(), (kind, fan_in)
             assert np.all((values >= 0.0) & (values <= 1.0))
 
@@ -183,7 +183,7 @@ def test_forward_needs_no_clip_random_circuits():
         n = int(rng.integers(1, 8))
         c = random_circuit(rng, n_inputs=n, n_gates=int(rng.integers(1, 40)), max_fan_in=4)
         P = probabilities(rng, 256, n)
-        assert forward(c, P).values.tobytes() == _clipped_forward(c, P).tobytes()
+        assert forward(c, P).tobytes() == _clipped_forward(c, P).tobytes()
 
 
 def _constant_circuit():
@@ -238,7 +238,17 @@ class TestConstantPins:
         c = _constant_circuit()
         cone = c.compile(ConstraintSet.from_names(c, {"w": 1, "z": 0}))
         assert c.compile(ConstraintSet.from_names(c, {"z": 0, "w": 1})) is cone
-        assert cone.circuit.compile(ConstraintSet(cone.pins)).circuit is cone.circuit
+
+    def test_program_is_freed_with_its_source_without_the_cyclic_collector(self):
+        # Nothing in a program refers back to it, so reference counting frees it.
+        c = load("c17.bench")
+        program = weakref.ref(c.compile(ConstraintSet.from_names(c, {"23": 1})).circuit)
+        gc.disable()
+        try:
+            del c
+            assert program() is None
+        finally:
+            gc.enable()
 
     def test_constant_net_in_the_cone_becomes_one_constant_gate(self):
         c = _constant_circuit()
@@ -262,4 +272,4 @@ class TestConstantPins:
         P = probabilities(np.random.default_rng(5), 32, 2)
         whole = forward(c, P)
         local = forward(cone.circuit, P[:, cone.input_cols])
-        assert local.values.tobytes() == whole.values[local_to_global(c, cone)].tobytes()
+        assert local.tobytes() == whole[local_to_global(c, cone)].tobytes()
