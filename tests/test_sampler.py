@@ -437,6 +437,32 @@ class TestRunSampling:
         with pytest.raises(MemoryError, match="needs about .* GiB, more than the .* GiB"):
             run_sampling(c, cs, SamplerConfig(batch_size=10**12))
 
+    def test_non_cone_columns_frozen(self):
+        # Only the cone rows are trained: every step sees the don't-care bits
+        # hardened from the initial draw, and every solution carries them.
+        c, cs = c15_with_pin()
+        cfg = SamplerConfig(batch_size=64, iterations=6, seed=4, dedup_scope="all")
+        free_cols = sorted(set(range(c.num_inputs)) - set(c.compile(cs).input_cols))
+        assert [c.name(c.primary_inputs[col]) for col in free_cols] == ["G1", "G2"]
+        drawn = harden(init_embeddings(cfg, c.num_inputs))[:, free_cols]
+        seen = []
+        real = sampler._process_chunk
+
+        def spy(cone, lr, cols, buffers, U, free_bits, met):
+            assert cols == free_cols
+            seen.append(free_bits.copy())
+            return real(cone, lr, cols, buffers, U, free_bits, met)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_process_chunk", spy)
+            r = run_sampling(c, cs, cfg)
+        assert len(seen) == cfg.iterations
+        for free_bits in seen:
+            assert np.array_equal(free_bits.T, drawn)
+        assert len(r) > 0
+        drawn_rows = {tuple(row) for row in drawn.tolist()}
+        assert {tuple(row) for row in r.full_rows()[:, free_cols].tolist()} <= drawn_rows
+
     def test_exhaustive_recovery_small_cones(self):
         # Calibrated expectation, not a guarantee: cones <= 8 inputs with
         # b >= 64 * 2^|cone| should recover the full brute-force set.
