@@ -273,6 +273,11 @@ def _expand_cells(manifest: object, base: Path) -> list[dict]:
 
 def cmd_bench(args) -> int:
     try:
+        SamplerConfig(batch_size=1, threads=args.threads)  # checked once, not per cell
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         manifest = json.loads(Path(args.manifest).read_text())
         cells = _expand_cells(manifest, Path(args.manifest).resolve().parent)
         if not cells:
@@ -348,6 +353,9 @@ def _add_circuit_args(p: argparse.ArgumentParser):
     )
 
 
+_THREADS_HELP = "worker processes (forked); 0 = one per CPU; capped at the CPUs and the chunks"
+
+
 # Built once per process: each build leaves some 290 objects in reference
 # cycles (argparse's help formatters) for the cyclic collector.
 @functools.cache
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--init-range", type=float, dest="init_range")
     p.add_argument("--dedup", choices=["cone", "all"])
-    p.add_argument("--threads", type=int, default=1, help="0 = one per CPU")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default="solutions.txt")
     p.add_argument("--stats", default="stats.json")
     p.add_argument("--emit-all-inputs", action="store_true",
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a manifest of sampling cells, emit CSV series")
     p.add_argument("--manifest", required=True, help="JSON manifest of (circuit, config) cells")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_bench)
 
     return parser

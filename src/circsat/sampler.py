@@ -15,13 +15,16 @@ program's batched `eval_batch`.  V is drawn from one stream seeded by `seed`
 in chunks of rows, and successive draws continue the stream, so a batch is a
 prefix of any larger batch.  The sampler keeps V input-major, moves the cone
 rows to the front and steps them in place (U -= lr * dL/dU); of the other rows
-it keeps only the hardened bits.  Each worker reuses one tape and one adjoint
-buffer for every chunk of the run, and the sigmoid writes straight into the
-tape's input rows.  The oracle checks every row after every step, but a row
-that met the pins after the last step and kept its cone bits is a fixed point
-whose key was already looked up, so it is not re-harvested.  A chunk's new
-solutions are row views of one block taken from it.  Chunks are harvested in a
-fixed order, so results do not depend on chunking or worker count.
+it keeps only the hardened bits.  The oracle checks every row after every
+step, but a row that met the pins after the last step and kept its cone bits
+is a fixed point whose key was already looked up, so it is not re-harvested.
+
+The rows are independent, so the chunks run on worker processes: worker 0 is
+the caller, and the others are forked after the draw.  Worker w steps chunks
+w, w + workers, ... for the whole run, on its own copy-on-write rows with one
+tape and adjoint buffer pair, and packs and deduplicates their keys; only the
+lookup in the solution set and the insert are serial.  Chunks are harvested
+in a fixed order, so results do not depend on chunking or worker count.
 
 The gradient-descent path runs in float32: V, the sigmoid, the tape, the
 adjoint, the loss and the step (`_FLOAT`).  Precision can change which rows
@@ -31,13 +34,15 @@ the exact Boolean oracle.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import multiprocessing
 import numbers
 import os
-import queue
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +50,10 @@ import numpy as np
 from .circuit import Circuit, CircuitError, ConeProgram, ConstraintSet
 from .probsim import backward, forward
 
-# A fixed split, so thread count never changes results.  Smaller chunks do
-# not lower the cost per row (fitting the cache buys nothing), and each chunk
-# adds a fixed 0.1-0.8 ms; ROADMAP item 1 has the measurements.
+# A fixed split, so the worker count never changes results; a chunk is also
+# the unit of work a worker process steps.  Smaller chunks do not lower the
+# cost per row (fitting the cache buys nothing), and each chunk adds a fixed
+# 0.1-0.8 ms; ROADMAP item 1 has the measurements.
 _CHUNK_ROWS = 8192
 
 # The precision of V, the tape, the adjoint and the step: the relaxed passes
@@ -69,7 +75,7 @@ class SamplerConfig:
     seed: int = 0
     init_range: float = 1.0
     dedup_scope: str = DEDUP_CONE
-    threads: int = 1  # 0 = one per CPU; affects speed only
+    threads: int = 1  # worker processes; 0 = one per CPU; affects speed only
 
     def __post_init__(self):
         for name in ("batch_size", "iterations", "seed", "threads"):
@@ -191,31 +197,23 @@ def harden(V: np.ndarray) -> np.ndarray:
 
 
 def _process_chunk(
-    cone: ConeProgram,
-    learning_rate: float,
-    free_cols: list[int],
-    buffers: queue.SimpleQueue,
-    U: np.ndarray,
-    free_bits: np.ndarray,
-    met: np.ndarray,
-) -> tuple[np.ndarray, float, int]:
+    cone: ConeProgram, learning_rate: float, free_cols: list[int], key_cols: list[int] | slice,
+    pair: tuple[np.ndarray, np.ndarray], U: np.ndarray, free_bits: np.ndarray, met: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """One GD step on a chunk's input-major cone rows U (in place).
 
-    `buffers` holds the run's (tape, adjoint) pairs and `free_bits` the
-    chunk's input-major don't-care bits.  `met` holds,
-    per row, whether it met the pins after the last step; it is updated in
-    place.  Returns (full rows that met the pins and may hold a key not yet
-    looked up, loss sum, rows that met the pins), none of which aliases a
-    buffer.
+    `pair` is the worker's (tape, adjoint) buffers, `free_bits` the chunk's
+    input-major don't-care bits and `key_cols` the columns of a row that form
+    its dedup key.  `met` holds, per row, whether it met the pins after the
+    last step; it is updated in place.  Returns (full rows that met the pins
+    and may hold a key not yet looked up, the ascending index of the first of
+    these rows with each key, the key of each such row as a void scalar, loss
+    sum, rows that met the pins), none of which aliases a buffer.
     """
     before = U >= 0.0  # the cone bits the last step hardened
-    pair = buffers.get()
-    try:
-        loss, grad = loss_and_grad(cone, U, pair)
-        grad *= learning_rate
-        U -= grad
-    finally:
-        buffers.put(pair)
+    loss, grad = loss_and_grad(cone, U, pair)
+    grad *= learning_rate
+    U -= grad
     hard = harden(U.T)
     got = cone.circuit.eval_batch(hard, nets=list(cone.pins))
     ok = np.all(got == list(cone.pins.values()), axis=1)
@@ -226,24 +224,76 @@ def _process_chunk(
     rows = np.empty((int(new.sum()), len(cone.input_cols) + len(free_cols)), dtype=np.uint8)
     rows[:, cone.input_cols] = hard[new]  # the cone bits as checked
     rows[:, free_cols] = free_bits[:, new].T  # the don't-care bits as drawn
-    return rows, float(loss.sum(dtype=np.float64)), int(ok.sum())
+    # Keys padded to full uint64 words; a stable sort over the words puts each
+    # key's first row first among its repeats.
+    packed = np.packbits(rows[:, key_cols], axis=1)
+    width = packed.shape[1]
+    words = np.zeros((len(packed), -(-width // 8) * 8), dtype=np.uint8)
+    words[:, :width] = packed
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    words = words[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(words[1:] != words[:-1], axis=1)
+    first = np.sort(order[starts])
+    # Bytes copied out, so an empty chunk needs no strides.
+    keys = np.frombuffer(packed[first].tobytes(), dtype=f"V{width}")
+    return rows, first, keys, float(loss.sum(dtype=np.float64)), int(ok.sum())
 
 
-def _buffer_shape(cone: ConeProgram, batch_size: int) -> tuple[int, int]:
-    """Shape of each worker's tape and adjoint buffer: cone nets x chunk rows."""
-    return cone.circuit.num_nets, min(batch_size, _CHUNK_ROWS)
+def _serve(conn, parent_ends: list, step, shape: tuple[int, int], chunks: list[tuple]) -> None:
+    """A forked worker: per "step", step `chunks` and send their results; stop on None or EOF.
+
+    An exception is sent for the parent to raise, as a `RuntimeError` naming
+    it if it does not survive pickling.
+    """
+    for end in parent_ends:  # so that a dead parent gives every worker EOF
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    try:
+        pair = None
+        while conn.recv():  # EOFError once no parent end is open
+            # Allocated once a step is asked for, so that a failure answers it.
+            pair = pair or (np.empty(shape, _FLOAT), np.empty(shape, _FLOAT))
+            conn.send([step(pair, *chunk) for chunk in chunks])
+    except EOFError:
+        pass
+    except Exception as exc:  # handed to the parent, which raises it
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # any pickling failure
+            exc = RuntimeError(f"worker process failed: {exc!r}")
+        try:
+            conn.send(exc)
+        except OSError:  # the parent has gone
+            pass
+
+
+def _receive(conn) -> list:
+    """A worker's results for one step; raises what the worker raised."""
+    try:
+        got = conn.recv()
+    except EOFError:
+        raise RuntimeError("a worker process exited without sending its results") from None
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
     """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
     # Kept per row: V, the don't-care bits and whether the row met the pins.
     # Once: a float64 block of the draw.  Per worker: the tape and adjoint
-    # buffers and a few cone-sized temporaries.
+    # buffers and a few cone-sized temporaries.  Per forked worker also the
+    # copy-on-write copies of the cone rows and `met` of the chunks it steps.
     k, b = len(cone.input_cols), config.batch_size
     rows = min(b, _CHUNK_ROWS)
     size = np.dtype(_FLOAT).itemsize
-    pair = 2 * size * math.prod(_buffer_shape(cone, b))
-    need = b * (size * n + n - k + 1) + rows * 8 * n + workers * (pair + rows * size * 6 * k)
+    pair = 2 * size * cone.circuit.num_nets * rows
+    chunks = -(-b // _CHUNK_ROWS)
+    share = -(-chunks // workers) * rows * (size * k + 1)
+    need = (b * (size * n + n - k + 1) + rows * 8 * n
+            + workers * (pair + rows * size * 6 * k) + (workers - 1) * share)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
@@ -282,7 +332,8 @@ def run_sampling(
     )
 
     chunks = range(0, config.batch_size, _CHUNK_ROWS)
-    workers = min(config.threads or os.cpu_count() or 1, len(chunks))
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(config.threads or cpus, cpus, len(chunks))
     _check_memory(config, cone, circuit.num_inputs, workers)
     VT = init_embeddings(config, circuit.num_inputs).T  # input-major (n, b)
     free_cols = sorted(set(range(circuit.num_inputs)) - set(cone.input_cols))
@@ -292,66 +343,56 @@ def run_sampling(
     for i, c in enumerate(cone.input_cols):
         VT[i] = VT[c]
     U = VT[: len(cone.input_cols)]
-    # One (tape, adjoint) pair per worker, reused by every chunk of the run.
-    shape = _buffer_shape(cone, config.batch_size)
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put((np.empty(shape, _FLOAT), np.empty(shape, _FLOAT)))
-    step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, buffers)
-    Us = [U[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
-    frees = [free_bits[:, lo : lo + _CHUNK_ROWS] for lo in chunks]
     # Per row: met the pins after the last step.  Chunks own disjoint slices.
     met = np.zeros(config.batch_size, dtype=bool)
-    mets = [met[lo : lo + _CHUNK_ROWS] for lo in chunks]
-    # One thread runs the chunks inline: a one-worker pool gave the same
-    # outputs but was slower (c17-census median 0.105-0.144 s inline against
-    # 0.131-0.240 s, adder16-sum 0.507-0.545 s against 0.501-0.628 s).
-    pool = ThreadPoolExecutor(max_workers=workers) if config.threads != 1 else None
+    # Worker w steps chunks w, w + workers, ... with its own (tape, adjoint)
+    # pair, reused by every chunk of the run.
+    slices = [slice(lo, lo + _CHUNK_ROWS) for lo in chunks]
+    owned = [[(U[:, s], free_bits[:, s], met[s]) for s in slices[w::workers]] for w in range(workers)]
+    step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, key_cols)
+    shape = (cone.circuit.num_nets, min(config.batch_size, _CHUNK_ROWS))  # cone nets x chunk rows
+    # Forked, not spawned: a child inherits V and the compiled cone, where a
+    # spawned one would import NumPy and circsat afresh on every run.
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
     try:
+        for w in range(1, workers):
+            conn, child_end = ctx.Pipe()
+            conns.append(conn)
+            procs.append(ctx.Process(target=_serve, args=(child_end, conns, step, shape, owned[w]),
+                                     daemon=True))
+            procs[-1].start()
+            child_end.close()
+        pair = (np.empty(shape, _FLOAT), np.empty(shape, _FLOAT))
         for it in range(1, config.iterations + 1):
             t0 = time.perf_counter()
-            # Lazy: a chunk's rows are harvested, then dropped, as soon as it is done.
-            results = pool.map(step, Us, frees, mets) if pool else map(step, Us, frees, mets)
-
-            new_unique = 0
-            loss_sum = 0.0
-            satisfied = 0
-            for hard_ok, chunk_loss, chunk_ok in results:  # chunk order fixed => deterministic
+            for conn in conns:
+                conn.send("step")
+            done = {j * workers: step(pair, *chunk) for j, chunk in enumerate(owned[0])}
+            new_unique, loss_sum, satisfied = 0, 0.0, 0
+            for i in range(len(chunks)):  # chunk order fixed => deterministic
+                if i not in done:  # the results of all chunks of worker i % workers
+                    w = i % workers
+                    done.update(zip(range(w, len(chunks), workers), _receive(conns[w - 1])))
+                rows, first, keys, chunk_loss, chunk_ok = done.pop(i)
                 loss_sum += chunk_loss
                 satisfied += chunk_ok
-                # Keys padded to full uint64 words; a stable sort over the
-                # words puts each key's first row first among its repeats.
-                packed = np.packbits(hard_ok[:, key_cols], axis=1)
-                width = packed.shape[1]
-                words = np.zeros((len(packed), -(-width // 8) * 8), dtype=np.uint8)
-                words[:, :width] = packed
-                words = words.view(np.uint64)
-                order = np.lexsort(words.T)
-                words = words[order]
-                starts = np.ones(len(order), dtype=bool)
-                starts[1:] = np.any(words[1:] != words[:-1], axis=1)
-                first = np.sort(order[starts])
-                # One void scalar per key; bytes copied out so an empty chunk needs no strides.
-                keys = np.frombuffer(packed.tobytes(), dtype=f"V{width}")
-                fresh = [(i, key) for i, key in zip(first.tolist(), keys[first].tolist())
-                         if key not in result.solutions]
+                keys = keys.tolist()
+                fresh = [j for j, key in enumerate(keys) if key not in result.solutions]
                 # The hardened rows the oracle checked, don't-cares included,
                 # taken at once; each solution is a row view of this block.
-                block = hard_ok[[i for i, _ in fresh]]
-                result.solutions.update(zip((key for _, key in fresh), block))
+                result.solutions.update(zip([keys[j] for j in fresh], rows[first[fresh]]))
                 new_unique += len(fresh)
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            result.stats.append(
-                IterationStats(
-                    iteration=it,
-                    new_unique=new_unique,
-                    cumulative_unique=len(result.solutions),
-                    elapsed_ms=elapsed_ms,
-                    loss_mean=loss_sum / config.batch_size,
-                    satisfied_rows=satisfied,
-                )
-            )
+            result.stats.append(IterationStats(
+                iteration=it, new_unique=new_unique, cumulative_unique=len(result.solutions),
+                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                loss_mean=loss_sum / config.batch_size, satisfied_rows=satisfied,
+            ))
     finally:
-        if pool:
-            pool.shutdown()
+        for conn in conns:
+            with contextlib.suppress(OSError):  # a worker that raised has gone
+                conn.send(None)
+            conn.close()
+        for proc in procs:
+            proc.join()
     return result

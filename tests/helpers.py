@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import os
 from pathlib import Path
 
@@ -23,6 +24,47 @@ from circsat import (
 
 DATA = Path(__file__).parent / "data"
 ISCAS_DIR = Path(os.environ.get("CIRCSAT_ISCAS_DIR", DATA / "iscas85"))
+
+
+class CallLog:
+    """Calls recorded across processes, for spies in forked sampler workers.
+
+    A spy in a worker appends to the worker's copy of a list, which the test
+    never sees.  `record` instead appends one line per call, holding the pid
+    and the recorded fields, to a file under the test's `tmp_path` with one
+    `os.write` on an `O_APPEND` descriptor.  One process's calls keep their
+    order.
+    """
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self.clear()
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+    def record(self, *fields) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (json.dumps([os.getpid(), *fields]) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def calls(self) -> list[list]:
+        """One [pid, *fields] list per call."""
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+    def per_iteration(self, iterations: int) -> list[int]:
+        """Per iteration, the sum of the last field of every call.
+
+        A sampler worker steps the same chunks in the same order every
+        iteration, so each process's calls split into `iterations` equal runs.
+        """
+        by_pid: dict[int, list] = {}
+        for pid, *fields in self.calls():
+            by_pid.setdefault(pid, []).append(fields[-1])
+        sums = [np.reshape(values, (iterations, -1)).sum(axis=1) for values in by_pid.values()]
+        return np.sum(sums, axis=0).tolist()
 
 
 def load(name: str) -> Circuit:

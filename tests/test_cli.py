@@ -533,6 +533,15 @@ class TestBench:
 
     C17_CELL = {"circuit": "c17.bench", "constraints": "pin2.txt", "batch": 100, "iters": 1}
 
+    def test_negative_threads_is_one_input_error_before_any_cell(self, c17, capsys):
+        (c17 / "manifest.json").write_text(json.dumps({"cells": [self.C17_CELL, self.C17_CELL]}))
+        assert run("bench", "--manifest", str(c17 / "manifest.json"),
+                   "--out-dir", str(c17 / "out"), "--threads", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.count("error: threads must be 0 (one per CPU) or positive") == 1
+        assert "FAILED" not in err
+        assert not list(c17.glob("**/*.error.txt"))
+
     @pytest.mark.parametrize("manifest,out_dir,code,message", [
         ([1], "out", 2, "error: bad manifest: expected a JSON object"),
         ({"cells": [1]}, "out", 2, "error: bad manifest: cell 0 is not a JSON object"),

@@ -1,4 +1,6 @@
-import queue
+import dataclasses
+import multiprocessing
+import os
 import sys
 import threading
 import warnings
@@ -24,7 +26,14 @@ from circsat import (
 from circsat import backward, forward, sampler
 from circsat.sampler import SolutionSet, _sigmoid
 
-from helpers import brute_force_solutions, load, naive_eval, random_circuit, reference_sampling
+from helpers import (
+    CallLog,
+    brute_force_solutions,
+    load,
+    naive_eval,
+    random_circuit,
+    reference_sampling,
+)
 
 
 def c15_with_pin():
@@ -342,20 +351,21 @@ class TestRunSampling:
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_short_last_chunk_reuses_one_buffer_pair_per_worker(self, monkeypatch, threads):
+    def test_short_last_chunk_reuses_one_buffer_pair_per_worker(self, monkeypatch, tmp_path, threads):
         # 61 rows in chunks of 8: seven full chunks and a last one of 5 rows,
         # which writes into the leading columns of a buffer a full chunk used.
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
-        tapes, adjoints = [], []
+        log = CallLog(tmp_path / "calls")
 
-        def record(fn, seen):
+        def record(fn):
             def wrapper(*args, out):
-                seen.append((out, args[1].shape[0] if fn is forward else args[1].shape[1]))
+                rows = args[1].shape[0] if fn is forward else args[1].shape[1]
+                log.record(fn.__name__, id(out), list(out.shape), rows)
                 return fn(*args, out=out)
             return wrapper
 
-        monkeypatch.setattr(sampler, "forward", record(forward, tapes))
-        monkeypatch.setattr(sampler, "backward", record(backward, adjoints))
+        monkeypatch.setattr(sampler, "forward", record(forward))
+        monkeypatch.setattr(sampler, "backward", record(backward))
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
         cfg = SamplerConfig(batch_size=61, iterations=5, seed=2, threads=threads)
@@ -366,35 +376,44 @@ class TestRunSampling:
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
         nets = c.compile(cs).circuit.num_nets
+        calls = log.calls()
+        tapes = [(pid, buf, shape, b) for pid, name, buf, shape, b in calls if name == "forward"]
+        adjoints = [(pid, buf, shape, b) for pid, name, buf, shape, b in calls if name == "backward"]
         for seen in (tapes, adjoints):
             assert len(seen) == 8 * cfg.iterations  # once per chunk
-            assert sorted(b for _, b in seen) == sorted([8] * 35 + [5] * 5)
-            assert all(buf.shape == (nets, 8) for buf, _ in seen)
-        tape_ids = {id(buf) for buf, _ in tapes}
-        adjoint_ids = {id(buf) for buf, _ in adjoints}
+            assert sorted(b for *_, b in seen) == sorted([8] * 35 + [5] * 5)
+            assert all(shape == [nets, 8] for _, _, shape, _ in seen)
+        # Buffers of different processes may share an address: tell them by pid.
+        tape_ids = {(pid, buf) for pid, buf, *_ in tapes}
+        adjoint_ids = {(pid, buf) for pid, buf, *_ in adjoints}
         assert 1 <= len(tape_ids) <= threads and 1 <= len(adjoint_ids) <= threads
         assert not tape_ids & adjoint_ids
+        # Each worker steps every chunk of its own with one pair.
+        one_each = dict.fromkeys({pid for pid, *_ in tapes}, 1)
+        assert Counter(pid for pid, _ in tape_ids) == Counter(pid for pid, _ in adjoint_ids) == one_each
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_traced_seam_runs_once_per_chunk_and_iteration(self, monkeypatch, threads):
+    def test_each_traced_seam_runs_once_per_chunk_and_iteration(self, monkeypatch, tmp_path, threads):
         # The per-layer benchmark wraps these attributes of `sampler` and
         # reads one call of each per chunk per iteration.
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
-        calls = []  # list.append is atomic; a shared counter's += is not
+        log = CallLog(tmp_path / "calls")
         for name in ("loss_and_grad", "forward", "backward", "harden"):
             def counted(*args, _name=name, _fn=getattr(sampler, name), **kwargs):
-                calls.append(_name)
+                log.record(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(sampler, name, counted)
         c = load("c17.bench")
         cfg = SamplerConfig(batch_size=61, iterations=3, seed=2, threads=threads)
         run_sampling(c, ConstraintSet.from_names(c, {"23": 1, "22": 0}), cfg)
         per_name = 8 * cfg.iterations  # eight chunks, the last of 5 rows
-        assert Counter(calls) == dict.fromkeys(["loss_and_grad", "forward", "backward", "harden"], per_name)
+        assert Counter(name for _, name in log.calls()) == dict.fromkeys(
+            ["loss_and_grad", "forward", "backward", "harden"], per_name)
 
     def test_buffer_pairs_hold_under_many_threads_switching_often(self, monkeypatch):
-        # Six workers on two or more cores share the queue of buffer pairs; a
-        # pair used by two chunks at once would change their gradients.
+        # The run forks its workers from a thread other than the main one,
+        # which switches often; a buffer pair or a row shared by two workers
+        # would change their gradients.
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 5)
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
@@ -448,10 +467,10 @@ class TestRunSampling:
         seen = []
         real = sampler._process_chunk
 
-        def spy(cone, lr, cols, buffers, U, free_bits, met):
+        def spy(cone, lr, cols, key_cols, pair, U, free_bits, met):
             assert cols == free_cols
             seen.append(free_bits.copy())
-            return real(cone, lr, cols, buffers, U, free_bits, met)
+            return real(cone, lr, cols, key_cols, pair, U, free_bits, met)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampler, "_process_chunk", spy)
@@ -502,6 +521,111 @@ class TestRunSampling:
         r1 = run_sampling(c, cs, cfg)
         r2 = run_sampling(c, cs, cfg)
         assert np.array_equal(r1.full_rows(), r2.full_rows())
+
+
+def _two_cores_counting_starts(monkeypatch) -> list:
+    """Make the CPU set two cores; return the list of processes started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    starts = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        starts.append(self)
+        return real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return starts
+
+
+class TestWorkerProcesses:
+    """The caller is worker 0; the other workers are forked children."""
+
+    def test_workers_capped_at_the_cpus_and_the_chunks(self, monkeypatch):
+        # Eight chunks of rows, so even a broken cap forks at most seven children.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        starts = _two_cores_counting_starts(monkeypatch)
+        c = load("c17.bench")
+        cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
+        runs = {}
+        for batch, threads, children in ((61, 1, 0), (61, 10**6, 1), (61, 0, 1), (8, 2, 0)):
+            starts.clear()
+            cfg = SamplerConfig(batch_size=batch, iterations=4, seed=3, threads=threads)
+            r = run_sampling(c, cs, cfg)
+            assert len(starts) == children
+            assert multiprocessing.active_children() == []
+            runs[batch, threads] = (
+                list(r.solutions), r.full_rows().tolist(),
+                [(s.new_unique, s.satisfied_rows, s.loss_mean) for s in r.stats],
+            )
+        assert runs[61, 10**6] == runs[61, 0] == runs[61, 1]
+
+    def test_no_worker_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        starts = _two_cores_counting_starts(monkeypatch)
+        c, cs = c15_with_pin()
+        r = run_sampling(c, cs, SamplerConfig(batch_size=61, iterations=3, threads=2))
+        assert len(r) > 0
+        assert len(starts) == 1 and starts[0].exitcode == 0
+        assert multiprocessing.active_children() == []
+
+    def test_runs_forking_from_two_threads_at_once_finish(self, monkeypatch):
+        # A child forked by one run inherits the other run's open pipe ends,
+        # so EOF alone could not stop the workers: each run sends them a stop.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        _two_cores_counting_starts(monkeypatch)
+        c, cs = c15_with_pin()
+        cfg = SamplerConfig(batch_size=61, iterations=20, seed=1, threads=2)
+        serial = list(run_sampling(c, cs, dataclasses.replace(cfg, threads=1)).solutions)
+        runs = []
+
+        def target():
+            runs.append(list(run_sampling(c, cs, cfg).solutions))
+
+        workers = [threading.Thread(target=target, daemon=True) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert runs == [serial, serial]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure, raised, message", [
+        (MemoryError("no room for the tape"), MemoryError, "no room for the tape"),
+        # Its class cannot be found by name, so it cannot be pickled: its repr is sent.
+        (type("Unpicklable", (ValueError,), {})("bad"), RuntimeError,
+         "worker process failed: Unpicklable('bad')"),
+    ])
+    def test_worker_exception_is_raised_by_the_caller(
+        self, monkeypatch, capfd, failure, raised, message
+    ):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        starts = _two_cores_counting_starts(monkeypatch)
+        parent = os.getpid()
+        real = sampler._process_chunk
+
+        def fails_in_the_child(*args):
+            if os.getpid() != parent:
+                raise failure
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "_process_chunk", fails_in_the_child)
+        c, cs = c15_with_pin()
+        errors = []
+
+        def target():
+            try:
+                run_sampling(c, cs, SamplerConfig(batch_size=61, iterations=3, threads=2))
+            except BaseException as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and len(errors) == 1
+        assert type(errors[0]) is raised and message in str(errors[0])
+        assert len(starts) == 1 and multiprocessing.active_children() == []
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestFloat32Path:
@@ -561,15 +685,15 @@ class TestHarvestOnlyChangedRows:
     """A row that met the pins last step and kept its cone bits is not re-harvested."""
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_c17_matches_reference_and_hands_back_fewer_rows(self, monkeypatch, threads):
+    def test_c17_matches_reference_and_hands_back_fewer_rows(self, monkeypatch, tmp_path, threads):
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 1024)  # three chunks
-        handed = []
+        log = CallLog(tmp_path / "calls")
         real = sampler._process_chunk
 
         def spy(*args):
-            rows, loss, satisfied = real(*args)
-            handed.append(len(rows))
-            return rows, loss, satisfied
+            rows, *rest = real(*args)
+            log.record(len(rows))
+            return rows, *rest
 
         monkeypatch.setattr(sampler, "_process_chunk", spy)
         c = load("c17.bench")
@@ -582,7 +706,8 @@ class TestHarvestOnlyChangedRows:
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
         # Every iteration's chunks finish before the next iteration starts.
-        per_iter = np.array(handed).reshape(cfg.iterations, 3).sum(axis=1)
+        assert len(log.calls()) == 3 * cfg.iterations
+        per_iter = log.per_iteration(cfg.iterations)
         satisfied = [s.satisfied_rows for s in r.stats]
         assert per_iter[0] == satisfied[0]
         for it in range(1, cfg.iterations):
@@ -616,9 +741,9 @@ class TestHarvestOnlyChangedRows:
         free_bits = rng.integers(0, 2, size=(len(free_cols), b), dtype=np.uint8)
         drawn = free_bits.copy()
         met = np.full(b, met_before)
-        buffers = queue.SimpleQueue()
-        buffers.put((np.empty((cone.circuit.num_nets, b)), np.empty((cone.circuit.num_nets, b))))
-        rows, _, satisfied = sampler._process_chunk(cone, 2.0, free_cols, buffers, U, free_bits, met)
+        pair = (np.empty((cone.circuit.num_nets, b)), np.empty((cone.circuit.num_nets, b)))
+        rows, first, keys, _, satisfied = sampler._process_chunk(
+            cone, 2.0, free_cols, cone.input_cols, pair, U, free_bits, met)
         want = list(cone.pins.values())
         hard = harden(U.T)
         ok = np.all(cone.circuit.eval_batch(hard, nets=list(cone.pins)) == want, axis=1)
@@ -630,21 +755,26 @@ class TestHarvestOnlyChangedRows:
         assert np.array_equal(free_bits, drawn)
         assert np.array_equal(rows[:, free_cols], free_bits[:, new].T)
         assert np.array_equal(rows[:, cone.input_cols], hard[new])
+        # The first row with each key, and its key, in row order.
+        packed = [np.packbits(row[cone.input_cols]).tobytes() for row in rows]
+        want_first = sorted({key: i for i, key in reversed(list(enumerate(packed)))}.values())
+        assert first.tolist() == want_first
+        assert keys.tolist() == [packed[i] for i in want_first]
 
 
 class TestSatisfiedRows:
     @pytest.mark.parametrize("scope", ["cone", "all"])
-    def test_counts_rows_meeting_the_pins_whatever_the_chunking(self, monkeypatch, scope):
+    def test_counts_rows_meeting_the_pins_whatever_the_chunking(self, monkeypatch, tmp_path, scope):
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
         cone = c.compile(cs)
         want = list(cone.pins.values())
         real = Circuit.eval_batch
-        seen = []
+        seen = CallLog(tmp_path / "calls")
 
         def counting(self, inputs, nets=None):
             got = real(self, inputs, nets=nets)
-            seen.append(int(np.all(got == want, axis=1).sum()))
+            seen.record(int(np.all(got == want, axis=1).sum()))
             return got
 
         monkeypatch.setattr(Circuit, "eval_batch", counting)
@@ -656,9 +786,9 @@ class TestSatisfiedRows:
                 cfg = SamplerConfig(batch_size=600, iterations=5, seed=8,
                                     dedup_scope=scope, threads=threads)
                 r = run_sampling(c, cs, cfg)
-                counted = np.array(seen).reshape(cfg.iterations, chunks).sum(axis=1)
+                assert len(seen.calls()) == cfg.iterations * chunks
                 satisfied = [s.satisfied_rows for s in r.stats]
-                assert satisfied == counted.tolist()
+                assert satisfied == seen.per_iteration(cfg.iterations)
                 assert all(s.new_unique <= s.satisfied_rows <= cfg.batch_size for s in r.stats)
                 runs.append(satisfied)
         assert all(run == runs[0] for run in runs)
