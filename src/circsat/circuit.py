@@ -264,8 +264,9 @@ class Circuit:
     def eval_batch(self, inputs: np.ndarray, nets: list[int] | None = None) -> np.ndarray:
         """Vectorized discrete simulation of a (b, n) 0/1 matrix.
 
-        Returns a (b, len(nets)) uint8 array; `nets` defaults to the primary
-        outputs.  Column order of `inputs` follows `primary_inputs`.
+        Returns a (b, len(nets)) uint8 array, the transpose of a net-major
+        one; `nets` defaults to the primary outputs.  Column order of
+        `inputs` follows `primary_inputs`.
         """
         inputs = np.asarray(inputs)
         if inputs.ndim != 2 or inputs.shape[1] != self.num_inputs:
@@ -294,10 +295,12 @@ class Circuit:
             vals[g.output] = value
         if nets is None:
             nets = self.primary_outputs
-        out = np.empty((b, len(nets)), dtype=np.uint8)
+        # Net-major, so each net's row is one contiguous write; callers that
+        # check nets one at a time read `out.T`.
+        out = np.empty((len(nets), b), dtype=np.uint8)
         for j, net in enumerate(nets):
-            out[:, j] = vals[net]
-        return out
+            out[j] = vals[net]
+        return out.T
 
     # -- support cone and the compiled cone program ----------------------
 

@@ -11,20 +11,24 @@ don't-cares that keep their initial draws.  `run_sampling` compiles the cone
 once (`Circuit.compile`) and runs the relaxed passes, the step and the oracle
 on that dense program alone: `loss_and_grad` takes the program and a chunk's
 input-major cone rows U and returns dL/dU input-major, and the oracle is the
-program's batched `eval_batch`.  V is drawn from one stream seeded by `seed`
-in chunks of rows, and successive draws continue the stream, so a batch is a
-prefix of any larger batch.  The sampler keeps V input-major, moves the cone
-rows to the front and steps them in place (U -= lr * dL/dU); of the other rows
-it keeps only the hardened bits.  The oracle checks every row after every
-step, but a row that met the pins after the last step and kept its cone bits
-is a fixed point whose key was already looked up, so it is not re-harvested.
+program's batched `eval_batch`.  V is one stream seeded by `seed`, row after
+row, and `init_embeddings` can draw any range of its rows, so a batch is a
+prefix of any larger batch and a chunk of rows can be drawn on its own.  Of a
+chunk's draw the sampler keeps the cone rows U, which it steps in place
+(U -= lr * dL/dU), and the hardened don't-care bits.  The oracle checks every
+row after every step, but a row that met the pins after the last step and
+kept its cone bits is a fixed point whose key was already looked up, so it is
+not re-harvested.
 
 The rows are independent, so the chunks run on worker processes: worker 0 is
-the caller, and the others are forked after the draw.  Worker w steps chunks
-w, w + workers, ... for the whole run, on its own copy-on-write rows with one
-tape and adjoint buffer pair, and packs and deduplicates their keys; only the
-lookup in the solution set and the insert are serial.  Chunks are harvested
-in a fixed order, so results do not depend on chunking or worker count.
+the caller, and the others are forked before anything is drawn.  Worker w
+draws chunks w, w + workers, ... itself and owns them for the whole run, with
+one tape and adjoint buffer pair; it steps them every iteration and packs and
+deduplicates their keys, and a forked worker sends each iteration's results
+without waiting to be asked.  Only the lookup in the solution set and the
+insert are serial, and chunks are harvested in a fixed order, so results do
+not depend on chunking or worker count.  The solution set keeps its keys in a
+sorted array and its rows in one block, in discovery order.
 
 The gradient-descent path runs in float32: V, the sigmoid, the tape, the
 adjoint, the loss and the step (`_FLOAT`).  Precision can change which rows
@@ -34,7 +38,6 @@ the exact Boolean oracle.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import multiprocessing
@@ -60,6 +63,11 @@ _CHUNK_ROWS = 8192
 # are bound by memory traffic, so half the bytes run faster.  The draw stays
 # float64, so the stream and its prefix property are unchanged.
 _FLOAT = np.float32
+
+# Values per float64 block of the draw.  A small block is reused from the
+# heap, where one of `_CHUNK_ROWS` rows touched fresh pages on every chunk,
+# and its transposed copy into V stays in the cache.
+_DRAW_VALUES = 2**15
 
 _MAX_INIT_RANGE = float(np.finfo(_FLOAT).max)  # a larger draw would turn V into +-inf
 
@@ -108,49 +116,118 @@ class IterationStats:
     elapsed_ms: float
     loss_mean: float
     satisfied_rows: int  # rows that met the pins after the step, repeats included
+    # Of those, rows whose key was already known: repeats within the batch,
+    # keys already in the set and fixed points; satisfied_rows - new_unique.
+    duplicate_rows: int
 
 
 @dataclass
 class SolutionSet:
     """Verified, deduplicated solutions plus per-iteration statistics.
 
-    `solutions` maps the dedup key (packed bits) to the full input-bit vector
-    in primary-input order, in discovery order.
+    The solutions are full input-bit rows in primary-input order, kept in
+    discovery order in one block; their dedup keys, the key columns' bits
+    packed into uint64 words (`_pack_keys`), are kept in a sorted array for
+    lookup.  `solutions` is the same set as a dict from the packed key bits
+    to the row.
     """
 
     input_names: list[str]  # names of the cone inputs, in primary-input order
     all_input_names: list[str]
     cone_cols: list[int]  # cone positions within the primary-input order
     dedup_scope: str
-    solutions: dict[bytes, np.ndarray] = field(default_factory=dict)
     stats: list[IterationStats] = field(default_factory=list)
+    _keys: np.ndarray | None = field(default=None, init=False, repr=False)  # sorted
+    _blocks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _dict: dict[bytes, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        if self._dict is not None:
+            return len(self._dict)
+        return sum(len(block) for block in self._blocks)
+
+    @property
+    def solutions(self) -> dict[bytes, np.ndarray]:
+        """{packed key bits: full row}, in discovery order.
+
+        Built on first access; from then on it is the record that `full_rows`
+        and `cone_rows` read, so edits to it show there.
+        """
+        if self._dict is None:
+            rows = self.full_rows()
+            key_cols = self.cone_cols if self.dedup_scope == DEDUP_CONE else slice(None)
+            self._dict = dict(zip(map(bytes, np.packbits(rows[:, key_cols], axis=1)), rows))
+        return self._dict
 
     def cone_rows(self) -> np.ndarray:
         """(num_solutions, |cone|) bit matrix restricted to cone inputs."""
         return self.full_rows()[:, self.cone_cols]
 
     def full_rows(self) -> np.ndarray:
-        """(num_solutions, n) bit matrix over all primary inputs."""
-        if not self.solutions:
-            return np.zeros((0, len(self.all_input_names)), dtype=np.uint8)
-        return np.array(list(self.solutions.values()), dtype=np.uint8)
+        """(num_solutions, n) bit matrix over all primary inputs, read-only."""
+        n = len(self.all_input_names)
+        if self._dict is not None:
+            return np.array(list(self._dict.values()), dtype=np.uint8).reshape(-1, n)
+        if len(self._blocks) != 1:
+            block = np.concatenate(self._blocks) if self._blocks else np.zeros((0, n), np.uint8)
+            block.flags.writeable = False
+            self._blocks = [block]
+        return self._blocks[0]
+
+    def _add(self, keys: np.ndarray, rows: np.ndarray) -> int:
+        """Store the rows whose key is not yet known, in order; return how many.
+
+        `keys` are distinct `_pack_keys` keys, one per row of `rows`.
+        """
+        known = keys[:0] if self._keys is None else self._keys
+        order = np.argsort(keys)  # sorted queries search faster
+        keys = keys[order]
+        pos = np.searchsorted(known, keys)
+        fresh = pos == len(known)
+        fresh[~fresh] = known[pos[~fresh]] != keys[~fresh]
+        if fresh.any():
+            # The positions, found in the old array, ascend with the keys.
+            self._keys = np.insert(known, pos[fresh], keys[fresh])
+            self._blocks.append(rows[np.sort(order[fresh])])
+        return int(fresh.sum())
 
 
-def init_embeddings(config: SamplerConfig, num_inputs: int) -> np.ndarray:
-    """V (b, num_inputs) ~ Uniform[-a, a] i.i.d. from one Philox stream keyed by the seed.
+def _pack_keys(bits: np.ndarray) -> np.ndarray:
+    """One key per column of an input-major 0/1 matrix: its bits packed and zero-padded to uint64 words.
 
-    V is drawn in float64 blocks of `_CHUNK_ROWS` rows; successive draws
-    continue the stream, so the rows equal one draw of the full batch.  V is
-    stored as float32, column-major, so `V.T` is input-major.
+    A key of one word is a uint64; a wider one is a void scalar of its words,
+    which NumPy sorts and compares byte by byte.
     """
-    rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
-    a, b, n = config.init_range, config.batch_size, num_inputs
-    V = np.empty((n, b), _FLOAT).T
-    for lo in range(0, b, _CHUNK_ROWS):
-        V[lo : lo + _CHUNK_ROWS] = rng.uniform(-a, a, size=(min(_CHUNK_ROWS, b - lo), n))
+    packed = np.packbits(bits, axis=0)
+    width = packed.shape[0]
+    words = -(-width // 8)
+    padded = np.zeros((packed.shape[1], 8 * words), dtype=np.uint8)
+    padded[:, :width] = packed.T
+    return padded.view(np.uint64 if words == 1 else f"V{8 * words}")[:, 0]
+
+
+def init_embeddings(
+    config: SamplerConfig, num_inputs: int, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Rows lo..hi (default: all) of V (b, num_inputs) ~ Uniform[-a, a] i.i.d.
+
+    V is one Philox stream keyed by the seed, read row after row, so any
+    range of rows equals those rows of one draw of the full batch: a counter
+    step of the stream makes four values, so it is advanced lo * n // 4 steps
+    and the remaining lo * n % 4 values are drawn and dropped.  The rows are
+    drawn in float64 blocks of about `_DRAW_VALUES` values and stored as
+    float32, column-major, so `V.T` is input-major.
+    """
+    a, n = config.init_range, num_inputs
+    hi = config.batch_size if hi is None else min(hi, config.batch_size)
+    stream = np.random.Philox(key=config.seed & (2**64 - 1))
+    stream.advance(lo * n // 4)
+    rng = np.random.Generator(stream)
+    rng.random(lo * n % 4)
+    V = np.empty((n, hi - lo), _FLOAT).T
+    block = max(1, _DRAW_VALUES // n)
+    for r in range(0, hi - lo, block):
+        V[r : r + block] = rng.uniform(-a, a, size=(min(block, hi - lo - r), n))
     return V
 
 
@@ -158,7 +235,8 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp of a non-positive number never overflows; equal bit for bit to
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.  As e <= 1, the
     # numerator max(e, x >= 0) is 1 for x >= 0 and e below, without a branch.
-    e = np.copysign(x, -1.0)  # -|x|
+    e = np.abs(x)
+    np.negative(e, out=e)  # -|x|
     np.exp(e, out=e)
     p = np.maximum(e, x >= 0, out=out)
     return np.divide(p, np.add(1.0, e, out=e), out=p)
@@ -207,7 +285,7 @@ def _process_chunk(
     its dedup key.  `met` holds, per row, whether it met the pins after the
     last step; it is updated in place.  Returns (full rows that met the pins
     and may hold a key not yet looked up, the ascending index of the first of
-    these rows with each key, the key of each such row as a void scalar, loss
+    these rows with each key, the `_pack_keys` key of each such row, loss
     sum, rows that met the pins), none of which aliases a buffer.
     """
     before = U >= 0.0  # the cone bits the last step hardened
@@ -216,48 +294,59 @@ def _process_chunk(
     U -= grad
     hard = harden(U.T)
     got = cone.circuit.eval_batch(hard, nets=list(cone.pins))
-    ok = np.all(got == list(cone.pins.values()), axis=1)
+    # The oracle's rows, one per pin, each against its pin's bit.
+    want = np.array(list(cone.pins.values()), dtype=np.uint8)[:, None]
+    ok = np.all(got.T == want, axis=0)
     # A row that met the pins last step with the same cone bits was harvested
     # then, and its don't-care bits never change: its key is already known.
     new = ok & ~(met & np.all(hard.T == before, axis=0))
     met[:] = ok
-    rows = np.empty((int(new.sum()), len(cone.input_cols) + len(free_cols)), dtype=np.uint8)
-    rows[:, cone.input_cols] = hard[new]  # the cone bits as checked
-    rows[:, free_cols] = free_bits[:, new].T  # the don't-care bits as drawn
-    # Keys padded to full uint64 words; a stable sort over the words puts each
-    # key's first row first among its repeats.
-    packed = np.packbits(rows[:, key_cols], axis=1)
-    width = packed.shape[1]
-    words = np.zeros((len(packed), -(-width // 8) * 8), dtype=np.uint8)
-    words[:, :width] = packed
-    words = words.view(np.uint64)
-    order = np.lexsort(words.T)
-    words = words[order]
+    # Built input-major, where each input's bits are one contiguous row.
+    bits = np.empty((len(cone.input_cols) + len(free_cols), int(new.sum())), dtype=np.uint8)
+    bits[cone.input_cols] = hard.T[:, new]  # the cone bits as checked
+    bits[free_cols] = free_bits[:, new]  # the don't-care bits as drawn
+    rows = bits.T
+    # Each key's first row is the least row index among its repeats.
+    keys = _pack_keys(bits[key_cols])
+    order = np.argsort(keys)
     starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(words[1:] != words[:-1], axis=1)
-    first = np.sort(order[starts])
-    # Bytes copied out, so an empty chunk needs no strides.
-    keys = np.frombuffer(packed[first].tobytes(), dtype=f"V{width}")
-    return rows, first, keys, float(loss.sum(dtype=np.float64)), int(ok.sum())
+    starts[1:] = keys[order[1:]] != keys[order[:-1]]
+    first = np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
+    return rows, first, keys[first], float(loss.sum(dtype=np.float64)), int(ok.sum())
 
 
-def _serve(conn, parent_ends: list, step, shape: tuple[int, int], chunks: list[tuple]) -> None:
-    """A forked worker: per "step", step `chunks` and send their results; stop on None or EOF.
+def _own_chunks(config: SamplerConfig, cone: ConeProgram, free_cols: list[int],
+                starts: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw a worker's chunks, those that begin at rows `starts`.
+
+    Per chunk: its input-major cone rows U, its input-major don't-care bits
+    and, per row, whether it met the pins after the last step.
+    """
+    n, k = len(cone.input_cols) + len(free_cols), len(cone.input_cols)
+    chunks = []
+    for lo in starts:
+        VT = init_embeddings(config, n, lo, lo + _CHUNK_ROWS).T  # input-major
+        free_bits = (VT[free_cols] >= 0.0).view(np.uint8)
+        # Move the cone rows to the front in place: the columns ascend, so no
+        # row is overwritten before it is read.  Only these rows are trained.
+        for i, c in enumerate(cone.input_cols):
+            VT[i] = VT[c]
+        chunks.append((VT[:k], free_bits, np.zeros(VT.shape[1], dtype=bool)))
+    return chunks
+
+
+def _serve(conn, parent_ends: list, run) -> None:
+    """A forked worker: send each item of `run`, one iteration's results each.
 
     An exception is sent for the parent to raise, as a `RuntimeError` naming
     it if it does not survive pickling.
     """
-    for end in parent_ends:  # so that a dead parent gives every worker EOF
+    for end in parent_ends:  # so that the only open ends are the caller's
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     try:
-        pair = None
-        while conn.recv():  # EOFError once no parent end is open
-            # Allocated once a step is asked for, so that a failure answers it.
-            pair = pair or (np.empty(shape, _FLOAT), np.empty(shape, _FLOAT))
-            conn.send([step(pair, *chunk) for chunk in chunks])
-    except EOFError:
-        pass
+        for results in run:
+            conn.send(results)
     except Exception as exc:  # handed to the parent, which raises it
         try:
             pickle.loads(pickle.dumps(exc))
@@ -270,7 +359,7 @@ def _serve(conn, parent_ends: list, step, shape: tuple[int, int], chunks: list[t
 
 
 def _receive(conn) -> list:
-    """A worker's results for one step; raises what the worker raised."""
+    """A worker's results for one iteration; raises what the worker raised."""
     try:
         got = conn.recv()
     except EOFError:
@@ -282,18 +371,15 @@ def _receive(conn) -> list:
 
 def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
     """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
-    # Kept per row: V, the don't-care bits and whether the row met the pins.
-    # Once: a float64 block of the draw.  Per worker: the tape and adjoint
-    # buffers and a few cone-sized temporaries.  Per forked worker also the
-    # copy-on-write copies of the cone rows and `met` of the chunks it steps.
+    # Kept per row, by the worker that owns it: V, the don't-care bits and
+    # whether the row met the pins.  Per worker: a float64 block of the draw,
+    # the tape and adjoint buffers and a few cone-sized temporaries.
     k, b = len(cone.input_cols), config.batch_size
     rows = min(b, _CHUNK_ROWS)
     size = np.dtype(_FLOAT).itemsize
     pair = 2 * size * cone.circuit.num_nets * rows
-    chunks = -(-b // _CHUNK_ROWS)
-    share = -(-chunks // workers) * rows * (size * k + 1)
-    need = (b * (size * n + n - k + 1) + rows * 8 * n
-            + workers * (pair + rows * size * 6 * k) + (workers - 1) * share)
+    draw = 8 * max(n, _DRAW_VALUES)
+    need = b * (size * n + n - k + 1) + workers * (draw + pair + rows * size * 6 * k)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
@@ -331,68 +417,64 @@ def run_sampling(
         dedup_scope=config.dedup_scope,
     )
 
-    chunks = range(0, config.batch_size, _CHUNK_ROWS)
+    starts = range(0, config.batch_size, _CHUNK_ROWS)
     cpus = len(os.sched_getaffinity(0))
-    workers = min(config.threads or cpus, cpus, len(chunks))
+    workers = min(config.threads or cpus, cpus, len(starts))
     _check_memory(config, cone, circuit.num_inputs, workers)
-    VT = init_embeddings(config, circuit.num_inputs).T  # input-major (n, b)
     free_cols = sorted(set(range(circuit.num_inputs)) - set(cone.input_cols))
-    free_bits = (VT >= 0.0)[free_cols].view(np.uint8)
-    # Move the cone rows to the front in place: the columns ascend, so no row
-    # is overwritten before it is read.  Only these rows are trained.
-    for i, c in enumerate(cone.input_cols):
-        VT[i] = VT[c]
-    U = VT[: len(cone.input_cols)]
-    # Per row: met the pins after the last step.  Chunks own disjoint slices.
-    met = np.zeros(config.batch_size, dtype=bool)
-    # Worker w steps chunks w, w + workers, ... with its own (tape, adjoint)
-    # pair, reused by every chunk of the run.
-    slices = [slice(lo, lo + _CHUNK_ROWS) for lo in chunks]
-    owned = [[(U[:, s], free_bits[:, s], met[s]) for s in slices[w::workers]] for w in range(workers)]
-    step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, key_cols)
     shape = (cone.circuit.num_nets, min(config.batch_size, _CHUNK_ROWS))  # cone nets x chunk rows
-    # Forked, not spawned: a child inherits V and the compiled cone, where a
-    # spawned one would import NumPy and circsat afresh on every run.
+
+    def worker_run(w: int):
+        """Worker w draws chunks w, w + workers, ... and steps them with its
+        own (tape, adjoint) pair; yields each iteration's per-chunk results."""
+        chunks = _own_chunks(config, cone, free_cols, starts[w::workers])
+        step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, key_cols,
+                                 (np.empty(shape, _FLOAT), np.empty(shape, _FLOAT)))
+        for _ in range(config.iterations):
+            yield [step(*chunk) for chunk in chunks]
+
+    # Forked, not spawned: a child inherits the compiled cone, where a spawned
+    # one would import NumPy and circsat afresh on every run.  The children
+    # are forked first, so each draws its own rows and none is shared.
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
+    finished = False
     try:
         for w in range(1, workers):
-            conn, child_end = ctx.Pipe()
+            conn, child_end = ctx.Pipe(duplex=False)
             conns.append(conn)
-            procs.append(ctx.Process(target=_serve, args=(child_end, conns, step, shape, owned[w]),
+            procs.append(ctx.Process(target=_serve, args=(child_end, conns, worker_run(w)),
                                      daemon=True))
             procs[-1].start()
             child_end.close()
-        pair = (np.empty(shape, _FLOAT), np.empty(shape, _FLOAT))
+        own = worker_run(0)
+        results = [None] * len(starts)
         for it in range(1, config.iterations + 1):
             t0 = time.perf_counter()
-            for conn in conns:
-                conn.send("step")
-            done = {j * workers: step(pair, *chunk) for j, chunk in enumerate(owned[0])}
+            results[0::workers] = next(own)
+            for w, conn in enumerate(conns, 1):
+                results[w::workers] = _receive(conn)
             new_unique, loss_sum, satisfied = 0, 0.0, 0
-            for i in range(len(chunks)):  # chunk order fixed => deterministic
-                if i not in done:  # the results of all chunks of worker i % workers
-                    w = i % workers
-                    done.update(zip(range(w, len(chunks), workers), _receive(conns[w - 1])))
-                rows, first, keys, chunk_loss, chunk_ok = done.pop(i)
+            for rows, first, keys, chunk_loss, chunk_ok in results:  # chunk order => deterministic
                 loss_sum += chunk_loss
                 satisfied += chunk_ok
-                keys = keys.tolist()
-                fresh = [j for j, key in enumerate(keys) if key not in result.solutions]
-                # The hardened rows the oracle checked, don't-cares included,
-                # taken at once; each solution is a row view of this block.
-                result.solutions.update(zip([keys[j] for j in fresh], rows[first[fresh]]))
-                new_unique += len(fresh)
+                # The hardened rows the oracle checked, don't-cares included.
+                new_unique += result._add(keys, rows[first])
             result.stats.append(IterationStats(
-                iteration=it, new_unique=new_unique, cumulative_unique=len(result.solutions),
+                iteration=it, new_unique=new_unique, cumulative_unique=len(result),
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 loss_mean=loss_sum / config.batch_size, satisfied_rows=satisfied,
+                duplicate_rows=satisfied - new_unique,
             ))
+        finished = True
     finally:
         for conn in conns:
-            with contextlib.suppress(OSError):  # a worker that raised has gone
-                conn.send(None)
             conn.close()
         for proc in procs:
+            # A child blocked sending results the caller will not read, for
+            # instance after another worker failed, would never exit: closing
+            # our end is not enough while a concurrent run's child holds it.
+            if not finished:
+                proc.terminate()
             proc.join()
     return result

@@ -268,10 +268,12 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: SamplerConfig):
+def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: SamplerConfig,
+                       V: np.ndarray | None = None):
     """The sampling loop over the whole circuit, one full-batch V, no compiled cone.
 
-    One (batch, n) draw, cast to float32 as the sampler stores it; per
+    One (batch, n) draw, cast to float32 as the sampler stores it, unless V
+    is given; per
     iteration a whole-circuit forward and backward (float32, the dtype of
     their input), a step on the support cone's columns only, `harden`,
     `eval_batch` over the whole circuit and a row-by-row dedup.  Returns
@@ -281,7 +283,9 @@ def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: Sam
     mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
     a = config.init_range
-    V = rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs)).astype(np.float32)
+    if V is None:
+        V = rng.uniform(-a, a, size=(config.batch_size, circuit.num_inputs)).astype(np.float32)
+    V = V.copy()
     key_cols = mask if config.dedup_scope == "cone" else np.ones_like(mask)
     pins = list(constraints.pins)
     want = np.array([constraints.pins[n] for n in pins], dtype=np.uint8)

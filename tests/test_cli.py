@@ -1,11 +1,13 @@
 import csv
 import json
+import multiprocessing
+import os
 import shutil
 
 import numpy as np
 import pytest
 
-from circsat import cli
+from circsat import cli, sampler
 from circsat.cli import main
 from circsat.sampler import SolutionSet
 
@@ -185,7 +187,32 @@ class TestSample:
         assert run(*argv) == 0
         stats = json.loads((c17 / "stats.json").read_text())["iterations"]
         assert all(it["new_unique"] <= it["satisfied_rows"] <= 800 for it in stats)
+        assert all(it["satisfied_rows"] == it["new_unique"] + it["duplicate_rows"] for it in stats)
         assert stats[-1]["satisfied_rows"] > 0
+
+    def test_two_workers_write_the_file_one_worker_writes(self, c15, monkeypatch):
+        # Chunks of 8 rows on two cores: a forked worker draws and steps
+        # every other chunk of the 200 rows.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        starts = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(self):
+            starts.append(self)
+            return real_start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        files = []
+        for threads, children in (("1", 0), ("2", 1)):
+            starts.clear()
+            argv = sample_args(c15, "c15.v", "g19.txt",
+                               **{"--batch": "200", "--iters": "4", "--threads": threads})
+            assert run(*argv) == 0
+            assert len(starts) == children
+            files.append((c15 / "solutions.txt").read_bytes())
+        assert files[0] == files[1]
+        assert files[0].count(b"\n") > 2
 
     def test_emit_all_inputs_header(self, c15):
         argv = sample_args(c15, "c15.v", "g19.txt", **{"--batch": "500", "--iters": "2"})
@@ -212,8 +239,9 @@ def test_solutions_text_equals_per_row_formula(count, scope, emit_all_inputs):
     rows = rng.integers(0, 2, size=(count, 5), dtype=np.uint8)
     result = SolutionSet(
         input_names=["b", "d", "e"], all_input_names=list("abcde"), cone_cols=[1, 3, 4],
-        dedup_scope=scope, solutions={bytes([k]): row for k, row in enumerate(rows)},
+        dedup_scope=scope,
     )
+    result.solutions.update({bytes([k]): row for k, row in enumerate(rows)})
     text = cli._solutions_text(result, emit_all_inputs)
     assert text == per_row_text(result, emit_all_inputs)
     assert len(text.splitlines()) == 1 + count
@@ -501,7 +529,7 @@ class TestBench:
         }
         assert list(sample_stats["iterations"][0]) == [
             "iteration", "new_unique", "cumulative_unique", "elapsed_ms", "loss_mean",
-            "satisfied_rows",
+            "satisfied_rows", "duplicate_rows",
         ]
 
     def test_rows_carry_satisfied_rows(self, c17):
@@ -514,6 +542,7 @@ class TestBench:
         with open(c17 / "out" / "bench.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["satisfied_rows"]) for r in rows] == [it["satisfied_rows"] for it in stats]
+        assert [int(r["duplicate_rows"]) for r in rows] == [it["duplicate_rows"] for it in stats]
 
     def test_failed_cell_gives_exit_4_and_continues(self, c17):
         manifest = {

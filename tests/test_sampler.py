@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import sys
 import threading
@@ -33,6 +34,7 @@ from helpers import (
     naive_eval,
     random_circuit,
     reference_sampling,
+    two_branch_sigmoid,
 )
 
 
@@ -78,6 +80,51 @@ class TestInitEmbeddings:
         small = init_embeddings(SamplerConfig(batch_size=8, seed=5), c.num_inputs)
         big = init_embeddings(SamplerConfig(batch_size=64, seed=5), c.num_inputs)
         assert np.array_equal(small, big[:8])
+
+    @pytest.mark.parametrize("chunk_rows", [5, 7, 8])
+    @pytest.mark.parametrize("n", [3, 5, 13])
+    def test_any_chunk_equals_that_slice_of_the_full_draw(self, monkeypatch, n, chunk_rows):
+        # lo * n is not a multiple of 4 at most offsets, so the stream is
+        # advanced to a counter step and part of its values dropped.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+        cfg = SamplerConfig(batch_size=61, seed=9, init_range=2.0)
+        rng = np.random.Generator(np.random.Philox(key=9))
+        full = rng.uniform(-2.0, 2.0, size=(61, n)).astype(np.float32)
+        assert np.array_equal(init_embeddings(cfg, n), full)
+        for lo in range(0, 61, chunk_rows):
+            got = init_embeddings(cfg, n, lo, lo + chunk_rows)
+            assert got.dtype == np.float32 and got.flags.f_contiguous
+            assert got.tobytes() == full[lo : lo + chunk_rows].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_worker_draws_its_own_chunks(self, monkeypatch, tmp_path, threads):
+        # Worker w draws chunks w, w + workers, ... and nothing else, each
+        # equal to its slice of one draw of the full batch.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        log = CallLog(tmp_path / "calls")
+        real = sampler.init_embeddings
+
+        def spy(config, n, lo=0, hi=None):
+            V = real(config, n, lo, hi)
+            log.record(lo, hi, V.tolist())
+            return V
+
+        monkeypatch.setattr(sampler, "init_embeddings", spy)
+        c, cs = c15_with_pin()
+        cfg = SamplerConfig(batch_size=61, iterations=2, seed=4, threads=threads)
+        run_sampling(c, cs, cfg)
+        full = real(cfg, c.num_inputs)
+        by_pid: dict[int, list[int]] = {}
+        for pid, lo, hi, V in log.calls():
+            assert hi == lo + 7
+            assert np.array_equal(np.array(V, np.float32), full[lo:hi])
+            by_pid.setdefault(pid, []).append(lo)
+        assert len(by_pid) == threads
+        starts = list(range(0, 61, 7))
+        assert sorted(los for los in by_pid.values()) == sorted(
+            starts[w::threads] for w in range(threads))
+        assert os.getpid() in by_pid and by_pid[os.getpid()] == starts[::threads]
 
 
 class TestLossAndGrad:
@@ -164,6 +211,18 @@ def test_float32_sigmoid_bitwise_equals_two_branch_formula():
     assert got.tobytes() == want.tobytes()
     assert got[:6].tolist() == [0.5] * 6
     assert got[len(edges) - 2 : len(edges)].tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_at_zero_tiny_large_and_huge_inputs(dtype):
+    x = np.array([0.0, -0.0, 1e-8, -1e-8, 50.0, -50.0, 100.0, -100.0, 3e38, -3e38], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x)
+        want = two_branch_sigmoid(x)  # 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert got[:2].tolist() == [0.5, 0.5] and got[-2:].tolist() == [1.0, 0.0]
 
 
 class TestGdStepAndHarden:
@@ -254,6 +313,37 @@ class TestRunSampling:
         assert len(result) == 0
         assert [s.cumulative_unique for s in result.stats] == [0] * 3
 
+    @pytest.mark.parametrize("scope", ["cone", "all"])
+    def test_keys_wider_than_64_bits_match_the_reference_loop(self, monkeypatch, scope):
+        # 70 inputs, all in the cone of z = AND(x0, x1, x2, OR(x3..x69)), so
+        # a key is 70 bits in two words.  Every row is one of six, so keys
+        # repeat within a chunk, across chunks and across iterations.  In
+        # three rows the last key byte, bits 64..69, is zero.
+        names = [f"x{i}" for i in range(70)] + ["o", "z"]
+        gates = [Gate(GateKind.OR, tuple(range(3, 70)), 70), Gate(GateKind.AND, (0, 1, 2, 70), 71)]
+        c = Circuit(names, list(range(70)), [71], gates)
+        cs = ConstraintSet({71: 1})
+        rng = np.random.default_rng(5)
+        pool = rng.uniform(-1, 1, size=(6, 70))
+        pool[:3, 64:] = -np.abs(pool[:3, 64:])
+        pool[3:, 64:] = np.abs(pool[3:, 64:])
+        V = pool[np.arange(61) % 6].astype(np.float32)
+        monkeypatch.setattr(sampler, "init_embeddings",
+                            lambda config, n, lo=0, hi=None: np.asfortranarray(V[lo:hi]))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = SamplerConfig(batch_size=61, iterations=6, seed=0, learning_rate=2.0,
+                            dedup_scope=scope)
+        keys, rows, counts = reference_sampling(c, cs, cfg, V=V)
+        assert len(keys) >= 4 and sum(key[-1] == 0 for key in keys) >= 2
+        for chunk_rows, threads in ((8192, 1), (7, 1), (7, 3)):
+            monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
+            r = run_sampling(c, cs, dataclasses.replace(cfg, threads=threads))
+            assert list(r.solutions) == keys
+            assert [row.tolist() for row in r.solutions.values()] == rows
+            assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
+            assert all(s.satisfied_rows == s.new_unique + s.duplicate_rows for s in r.stats)
+            assert sum(s.duplicate_rows for s in r.stats) > 0
+
     def test_every_solution_satisfies_pins(self):
         rng = np.random.default_rng(21)
         c = random_circuit(rng, n_inputs=8, n_gates=30)
@@ -309,7 +399,8 @@ class TestRunSampling:
                 runs.append((
                     list(r.solutions),
                     [row.tolist() for row in r.solutions.values()],
-                    [(s.iteration, s.new_unique, s.cumulative_unique) for s in r.stats],
+                    [(s.iteration, s.new_unique, s.cumulative_unique, s.duplicate_rows)
+                     for s in r.stats],
                     [s.loss_mean for s in r.stats],
                 ))
         for run in runs[1:]:
@@ -452,9 +543,12 @@ class TestRunSampling:
             raise AssertionError("drew embeddings for a batch that cannot fit")
 
         monkeypatch.setattr(sampler, "init_embeddings", no_draw)
+        starts = _two_cores_counting_starts(monkeypatch)
         c, cs = c15_with_pin()
-        with pytest.raises(MemoryError, match="needs about .* GiB, more than the .* GiB"):
-            run_sampling(c, cs, SamplerConfig(batch_size=10**12))
+        for threads in (1, 2):
+            with pytest.raises(MemoryError, match="needs about .* GiB, more than the .* GiB"):
+                run_sampling(c, cs, SamplerConfig(batch_size=10**12, threads=threads))
+        assert starts == []
 
     def test_non_cone_columns_frozen(self):
         # Only the cone rows are trained: every step sees the don't-care bits
@@ -627,6 +721,52 @@ class TestWorkerProcesses:
         assert len(starts) == 1 and multiprocessing.active_children() == []
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_a_child_blocked_sending_does_not_hang_a_caller_that_stops(self, monkeypatch):
+        # The caller fails in its own first step while the child's first
+        # results, some 280 kB, fill the pipe.  A copy of the reading end
+        # stays open, as it would in a child forked by a concurrent run, so
+        # the child's send never fails: the caller must end the child.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 4096)
+        starts = _two_cores_counting_starts(monkeypatch)
+        held = []
+        real_pipe = multiprocessing.connection.Pipe
+
+        def pipe(duplex=True):
+            reader, writer = real_pipe(duplex)
+            held.append(os.dup(reader.fileno()))
+            return reader, writer
+
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", pipe)
+        parent = os.getpid()
+        real = sampler._process_chunk
+
+        def fails_in_the_caller(*args):
+            if os.getpid() == parent:
+                raise MemoryError("no room in the caller")
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "_process_chunk", fails_in_the_caller)
+        names = [f"x{i}" for i in range(70)] + ["z"]
+        c = Circuit(names, list(range(70)), [70], [Gate(GateKind.OR, tuple(range(70)), 70)])
+        errors = []
+
+        def target():
+            try:
+                run_sampling(c, ConstraintSet({70: 1}), SamplerConfig(batch_size=8192, threads=2))
+            except BaseException as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=target, daemon=True)
+        try:
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert not worker.is_alive() and len(held) == 1
+        assert len(errors) == 1 and str(errors[0]) == "no room in the caller"
+        assert len(starts) == 1 and multiprocessing.active_children() == []
+
 
 class TestFloat32Path:
     def test_run_hands_the_passes_float32_buffers(self, monkeypatch):
@@ -719,7 +859,8 @@ class TestHarvestOnlyChangedRows:
         c = Circuit(["a", "b", "z"], [0, 1], [2], [Gate(GateKind.OR, (0, 1), 2)])
         cs = ConstraintSet.from_names(c, {"z": 1})
         V0 = np.array([[1.0, -0.4]])
-        monkeypatch.setattr(sampler, "init_embeddings", lambda *args: V0.copy())
+        monkeypatch.setattr(sampler, "init_embeddings",
+                            lambda config, n, lo=0, hi=None: V0[lo:hi].copy())
         r = run_sampling(c, cs, SamplerConfig(batch_size=1, iterations=3))
         assert [row.tolist() for row in r.solutions.values()] == [[1, 0], [1, 1]]
         assert [(s.new_unique, s.satisfied_rows) for s in r.stats] == [(1, 1), (1, 1), (0, 1)]
@@ -755,11 +896,15 @@ class TestHarvestOnlyChangedRows:
         assert np.array_equal(free_bits, drawn)
         assert np.array_equal(rows[:, free_cols], free_bits[:, new].T)
         assert np.array_equal(rows[:, cone.input_cols], hard[new])
-        # The first row with each key, and its key, in row order.
+        # The first row with each key, and its key, in row order.  A key is
+        # the packed bits zero-padded to a uint64 word: one byte for 4 bits.
         packed = [np.packbits(row[cone.input_cols]).tobytes() for row in rows]
         want_first = sorted({key: i for i, key in reversed(list(enumerate(packed)))}.values())
         assert first.tolist() == want_first
-        assert keys.tolist() == [packed[i] for i in want_first]
+        assert keys.dtype == np.uint64
+        raw = np.frombuffer(keys.tobytes(), np.uint8).reshape(len(keys), 8)
+        assert [word[:1].tobytes() for word in raw] == [packed[i] for i in want_first]
+        assert not raw[:, 1:].any()
 
 
 class TestSatisfiedRows:
@@ -790,9 +935,10 @@ class TestSatisfiedRows:
                 satisfied = [s.satisfied_rows for s in r.stats]
                 assert satisfied == seen.per_iteration(cfg.iterations)
                 assert all(s.new_unique <= s.satisfied_rows <= cfg.batch_size for s in r.stats)
-                runs.append(satisfied)
+                assert all(s.satisfied_rows == s.new_unique + s.duplicate_rows for s in r.stats)
+                runs.append((satisfied, [s.duplicate_rows for s in r.stats]))
         assert all(run == runs[0] for run in runs)
-        assert runs[0][-1] > 0
+        assert runs[0][0][-1] > 0 and runs[0][1][-1] > 0
 
 
 def test_config_validation():
