@@ -323,7 +323,6 @@ def cmd_bench(args) -> int:
                     "new_unique": s.new_unique,
                     "cumulative_unique": s.cumulative_unique,
                     "satisfied_rows": s.satisfied_rows,
-                    "duplicate_rows": s.duplicate_rows,
                     "elapsed_ms": round(s.elapsed_ms, 3),
                     "cumulative_ms": round(cum_ms, 3),
                     "throughput_per_s": round(

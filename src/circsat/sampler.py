@@ -116,9 +116,6 @@ class IterationStats:
     elapsed_ms: float
     loss_mean: float
     satisfied_rows: int  # rows that met the pins after the step, repeats included
-    # Of those, rows whose key was already known: repeats within the batch,
-    # keys already in the set and fixed points; satisfied_rows - new_unique.
-    duplicate_rows: int
 
 
 @dataclass
@@ -154,10 +151,13 @@ class SolutionSet:
         and `cone_rows` read, so edits to it show there.
         """
         if self._dict is None:
-            rows = self.full_rows()
-            key_cols = self.cone_cols if self.dedup_scope == DEDUP_CONE else slice(None)
-            self._dict = dict(zip(map(bytes, np.packbits(rows[:, key_cols], axis=1)), rows))
+            self._dict = self._by_key(self.full_rows())
         return self._dict
+
+    def _by_key(self, rows: np.ndarray) -> dict[bytes, np.ndarray]:
+        """{packed key bits: row} for `rows`, in their order."""
+        key_cols = self.cone_cols if self.dedup_scope == DEDUP_CONE else slice(None)
+        return dict(zip(map(bytes, np.packbits(rows[:, key_cols], axis=1)), rows))
 
     def cone_rows(self) -> np.ndarray:
         """(num_solutions, |cone|) bit matrix restricted to cone inputs."""
@@ -174,21 +174,26 @@ class SolutionSet:
             self._blocks = [block]
         return self._blocks[0]
 
-    def _add(self, keys: np.ndarray, rows: np.ndarray) -> int:
-        """Store the rows whose key is not yet known, in order; return how many.
+    def _add(self, keys: np.ndarray, rows: np.ndarray, first: np.ndarray) -> int:
+        """Store the rows whose key is not yet known, in row order; return how many.
 
-        `keys` are distinct `_pack_keys` keys, one per row of `rows`.
+        `keys` are distinct `_pack_keys` keys in ascending order, and
+        `rows[first[i]]` is the row of `keys[i]`.  Once `solutions` has been
+        read, it holds the set, and the new rows are added to it; keys are
+        still looked up among those stored here.
         """
         known = keys[:0] if self._keys is None else self._keys
-        order = np.argsort(keys)  # sorted queries search faster
-        keys = keys[order]
         pos = np.searchsorted(known, keys)
         fresh = pos == len(known)
         fresh[~fresh] = known[pos[~fresh]] != keys[~fresh]
         if fresh.any():
             # The positions, found in the old array, ascend with the keys.
             self._keys = np.insert(known, pos[fresh], keys[fresh])
-            self._blocks.append(rows[np.sort(order[fresh])])
+            new = rows[np.sort(first[fresh])]
+            if self._dict is None:
+                self._blocks.append(new)
+            else:
+                self._dict.update(self._by_key(new))
         return int(fresh.sum())
 
 
@@ -284,9 +289,9 @@ def _process_chunk(
     input-major don't-care bits and `key_cols` the columns of a row that form
     its dedup key.  `met` holds, per row, whether it met the pins after the
     last step; it is updated in place.  Returns (full rows that met the pins
-    and may hold a key not yet looked up, the ascending index of the first of
-    these rows with each key, the `_pack_keys` key of each such row, loss
-    sum, rows that met the pins), none of which aliases a buffer.
+    and may hold a key not yet looked up, the index of the first of these
+    rows with each `_pack_keys` key, those keys in ascending order, loss sum,
+    rows that met the pins), none of which aliases a buffer.
     """
     before = U >= 0.0  # the cone bits the last step hardened
     loss, grad = loss_and_grad(cone, U, pair)
@@ -306,12 +311,13 @@ def _process_chunk(
     bits[cone.input_cols] = hard.T[:, new]  # the cone bits as checked
     bits[free_cols] = free_bits[:, new]  # the don't-care bits as drawn
     rows = bits.T
-    # Each key's first row is the least row index among its repeats.
+    # Each key's first row is the least row index among its repeats; sorted
+    # here, the keys are looked up in the solution set as they come.
     keys = _pack_keys(bits[key_cols])
     order = np.argsort(keys)
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = keys[order[1:]] != keys[order[:-1]]
-    first = np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
     return rows, first, keys[first], float(loss.sum(dtype=np.float64)), int(ok.sum())
 
 
@@ -459,12 +465,11 @@ def run_sampling(
                 loss_sum += chunk_loss
                 satisfied += chunk_ok
                 # The hardened rows the oracle checked, don't-cares included.
-                new_unique += result._add(keys, rows[first])
+                new_unique += result._add(keys, rows, first)
             result.stats.append(IterationStats(
                 iteration=it, new_unique=new_unique, cumulative_unique=len(result),
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 loss_mean=loss_sum / config.batch_size, satisfied_rows=satisfied,
-                duplicate_rows=satisfied - new_unique,
             ))
         finished = True
     finally:
