@@ -3,7 +3,7 @@ differentiable probabilistic model, learn batches of satisfying inputs by
 gradient descent, and emit verified, deduplicated solutions."""
 
 from .circuit import Circuit, CircuitError, ConstraintSet, Gate, GateKind
-from .cnf import CnfFormula, parse_dimacs, tseytin_encode, write_dimacs
+from .cnf import CnfFormula, tseytin_encode, write_dimacs
 from .parsers import (
     ParseError,
     parse_bench,
@@ -11,9 +11,6 @@ from .parsers import (
     parse_constraints,
     parse_file,
     parse_verilog,
-    to_bench,
-    to_blif,
-    to_verilog,
 )
 from .probsim import backward, forward
 from .sampler import (
@@ -28,9 +25,9 @@ from .sampler import (
 
 __all__ = [
     "Circuit", "CircuitError", "ConstraintSet", "Gate", "GateKind",
-    "CnfFormula", "tseytin_encode", "write_dimacs", "parse_dimacs",
+    "CnfFormula", "tseytin_encode", "write_dimacs",
     "ParseError", "parse_verilog", "parse_blif", "parse_bench", "parse_file",
-    "parse_constraints", "to_verilog", "to_blif", "to_bench",
+    "parse_constraints",
     "forward", "backward", "SamplerConfig", "IterationStats", "SolutionSet",
     "init_embeddings", "loss_and_grad", "harden", "run_sampling",
 ]

@@ -302,23 +302,7 @@ class Circuit:
             out[j] = vals[net]
         return out.T
 
-    # -- support cone and the compiled cone program ----------------------
-
-    def _fan_in(self, nets, stop=()) -> set[int]:
-        """Nets in the transitive fan-in of `nets`, not descending past `stop`."""
-        seen: set[int] = set()
-        stack = list(nets)
-        while stack:
-            net = stack.pop()
-            if net not in seen:
-                seen.add(net)
-                if net not in stop and net in self.driver:
-                    stack.extend(self.gates[self.driver[net]].inputs)
-        return seen
-
-    def support_cone(self, constraints: ConstraintSet) -> set[int]:
-        """Primary inputs in the transitive fan-in of any pinned net."""
-        return self._fan_in(constraints.pins) & set(self.primary_inputs)
+    # -- the compiled cone program ----------------------------------------
 
     def compile(self, constraints: ConstraintSet) -> ConeProgram:
         """The `ConeProgram` of the pinned nets, compiled once per set of pins.
@@ -338,11 +322,19 @@ class Circuit:
             g = self.gates[gi]
             if all(n in const for n in g.inputs):
                 const[g.output] = g.kind.truth([const[n] for n in g.inputs])
-        cone = self._fan_in(pins, stop=const)
+        # The pins' fan-in, not past a constant; in reverse topological order
+        # every reader of a gate's output is visited before the gate.
+        cone = set(pins)
+        for gi in reversed(self.topo_order()):
+            g = self.gates[gi]
+            if g.output in cone and g.output not in const:
+                cone.update(g.inputs)
         cols = [c for c, net in enumerate(self.primary_inputs) if net in cone]
         order = [gi for gi in self.topo_order() if self.gates[gi].output in cone]
         nets = [self.primary_inputs[c] for c in cols] + [self.gates[gi].output for gi in order]
         local = {net: i for i, net in enumerate(nets)}
+        if floating := [self.names[n] for n in pins if n not in local]:
+            raise CircuitError(f"pinned net '{floating[0]}' is neither an input nor driven by a gate")
         gates = []
         for gi in order:
             kind, ins, out = self.gates[gi].kind, self.gates[gi].inputs, self.gates[gi].output

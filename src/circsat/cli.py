@@ -14,6 +14,7 @@ import itertools
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,16 @@ def _unwritable(path: Path) -> str | None:
     return None
 
 
+def _write(path: str, text: str) -> bool:
+    """Write `text` to the file at `path`; if that fails, say why and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write '{path}': {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
             constraints_path: str, wall_ms: float) -> dict:
     total = len(result)
@@ -123,10 +134,11 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    Path(args.out).write_text(_solutions_text(result, args.emit_all_inputs))
     report = _report(result, config, args.circuit, args.constraints, wall_ms)
     report["completed"] = True
-    Path(args.stats).write_text(json.dumps(report, indent=2) + "\n")
+    if not (_write(args.out, _solutions_text(result, args.emit_all_inputs))
+            and _write(args.stats, json.dumps(report, indent=2) + "\n")):
+        return EXIT_INPUT
     print(f"{len(result)} unique solutions in {wall_ms:.1f} ms -> {args.out}")
     return EXIT_OK
 
@@ -203,7 +215,8 @@ def cmd_export_cnf(args) -> int:
         return EXIT_INPUT
     text = write_dimacs(cnf)
     if args.out:
-        Path(args.out).write_text(text)
+        if not _write(args.out, text):
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     print(f"{cnf.var_count} variables, {len(cnf.clauses)} clauses", file=sys.stderr)
@@ -216,18 +229,14 @@ def cmd_info(args) -> int:
     except (ParseError, CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    hist: dict[str, int] = {}
-    max_fan_in = 0
-    for g in circuit.gates:
-        hist[g.kind.value] = hist.get(g.kind.value, 0) + 1
-        max_fan_in = max(max_fan_in, len(g.inputs))
+    hist = Counter(g.kind.value for g in circuit.gates)
     info = {
         "inputs": circuit.num_inputs,
         "outputs": circuit.num_outputs,
         "gates": len(circuit.gates),
         "nets": circuit.num_nets,
         "gate_histogram": dict(sorted(hist.items())),
-        "max_fan_in": max_fan_in,
+        "max_fan_in": max((len(g.inputs) for g in circuit.gates), default=0),
         "depth": circuit.depth(),
     }
     if args.json:

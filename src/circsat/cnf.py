@@ -76,26 +76,3 @@ def write_dimacs(cnf: CnfFormula) -> str:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
 
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """Minimal DIMACS reader (round-trip checks and the verify path)."""
-    var_count = None
-    clauses: list[list[int]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: '{line}'")
-            var_count = int(parts[2])
-            continue
-        lits = [int(t) for t in line.split()]
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        if lits:
-            clauses.append(lits)
-    if var_count is None:
-        raise ValueError("missing 'p cnf' header")
-    return var_count, clauses

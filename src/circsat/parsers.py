@@ -3,8 +3,8 @@
 Each frontend only recognises its syntax and hands (inputs, outputs, gate
 sources) to one builder, which numbers the nets, rejects a duplicate driver
 or a bad fan-in at the gate's source line and validates the Circuit; so all
-three formats report such errors the same way.  Writers for each format
-support round-trip testing and format conversion.
+three formats report such errors the same way.  Netlists are only read
+here; nothing in the package writes one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import re
 from pathlib import Path
 
-from .circuit import Circuit, CircuitError, ConstraintSet, Gate, GateKind
+from .circuit import Circuit, ConstraintSet, Gate, GateKind
 
 
 class ParseError(ValueError):
@@ -306,63 +306,6 @@ def parse_bench(text: str) -> Circuit:
             gates_src.append((kind, out, ins, lineno))
 
     return _build(inputs + outputs, inputs, outputs, gates_src)
-
-
-# ---------------------------------------------------------------------------
-# Writers (round-trip / conversion)
-# ---------------------------------------------------------------------------
-
-
-def to_verilog(circuit: Circuit, module_name: str = "top") -> str:
-    if any(g.kind.is_const for g in circuit.gates):
-        raise CircuitError("constant drivers cannot be expressed in the Verilog subset")
-    inputs = [circuit.name(n) for n in circuit.primary_inputs]
-    outputs = [circuit.name(n) for n in circuit.primary_outputs]
-    io = set(circuit.primary_inputs) | set(circuit.primary_outputs)
-    wires = [circuit.name(g.output) for g in circuit.gates if g.output not in io]
-    lines = [f"module {module_name}({','.join(inputs + outputs)});"]
-    lines.append(f"input {','.join(inputs)};")
-    lines.append(f"output {','.join(outputs)};")
-    if wires:
-        lines.append(f"wire {','.join(wires)};")
-    for gi, g in enumerate(circuit.gates):
-        kind = g.kind.value.lower()
-        args = ",".join([circuit.name(g.output)] + [circuit.name(n) for n in g.inputs])
-        lines.append(f"  {kind} U{gi}({args});")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
-
-
-def to_bench(circuit: Circuit) -> str:
-    if any(g.kind.is_const for g in circuit.gates):
-        raise CircuitError("constant drivers cannot be expressed in .bench")
-    lines = [f"INPUT({circuit.name(n)})" for n in circuit.primary_inputs]
-    lines += [f"OUTPUT({circuit.name(n)})" for n in circuit.primary_outputs]
-    kw = {v: k for k, v in _BENCH_KINDS.items()}
-    for gi in circuit.topo_order():
-        g = circuit.gates[gi]
-        args = ", ".join(circuit.name(n) for n in g.inputs)
-        lines.append(f"{circuit.name(g.output)} = {kw[g.kind]}({args})")
-    return "\n".join(lines) + "\n"
-
-
-def to_blif(circuit: Circuit, model_name: str = "top") -> str:
-    lines = [f".model {model_name}"]
-    lines.append(".inputs " + " ".join(circuit.name(n) for n in circuit.primary_inputs))
-    lines.append(".outputs " + " ".join(circuit.name(n) for n in circuit.primary_outputs))
-    for gi in circuit.topo_order():
-        g = circuit.gates[gi]
-        sig = " ".join(circuit.name(n) for n in g.inputs) + (" " if g.inputs else "")
-        lines.append(f".names {sig}{circuit.name(g.output)}")
-        f = len(g.inputs)
-        if g.kind.reduction == "xor":  # enumerate the on-set
-            cubes = [bits for bits in itertools.product((0, 1), repeat=f) if g.kind.truth(bits)]
-        else:  # all ones decides an 'and', all zeros an 'or'
-            cubes = [(int(g.kind.reduction == "and"),) * f]
-        for cube in cubes:
-            lines.append(f"{''.join(map(str, cube))} {g.kind.truth(cube)}".lstrip())
-    lines.append(".end")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -123,41 +123,25 @@ class SolutionSet:
     """Verified, deduplicated solutions plus per-iteration statistics.
 
     The solutions are full input-bit rows in primary-input order, kept in
-    discovery order in one block; their dedup keys, the key columns' bits
-    packed into uint64 words (`_pack_keys`), are kept in a sorted array for
-    lookup.  `solutions` is the same set as a dict from the packed key bits
-    to the row.
+    discovery order in one block and nowhere else; their dedup keys, the key
+    columns' bits packed into uint64 words (`_pack_keys`), are kept in a
+    sorted array for lookup.
     """
 
-    input_names: list[str]  # names of the cone inputs, in primary-input order
     all_input_names: list[str]
     cone_cols: list[int]  # cone positions within the primary-input order
     dedup_scope: str
     stats: list[IterationStats] = field(default_factory=list)
     _keys: np.ndarray | None = field(default=None, init=False, repr=False)  # sorted
     _blocks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    _dict: dict[bytes, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
-        if self._dict is not None:
-            return len(self._dict)
         return sum(len(block) for block in self._blocks)
 
     @property
-    def solutions(self) -> dict[bytes, np.ndarray]:
-        """{packed key bits: full row}, in discovery order.
-
-        Built on first access; from then on it is the record that `full_rows`
-        and `cone_rows` read, so edits to it show there.
-        """
-        if self._dict is None:
-            self._dict = self._by_key(self.full_rows())
-        return self._dict
-
-    def _by_key(self, rows: np.ndarray) -> dict[bytes, np.ndarray]:
-        """{packed key bits: row} for `rows`, in their order."""
-        key_cols = self.cone_cols if self.dedup_scope == DEDUP_CONE else slice(None)
-        return dict(zip(map(bytes, np.packbits(rows[:, key_cols], axis=1)), rows))
+    def input_names(self) -> list[str]:
+        """Names of the cone inputs, in primary-input order."""
+        return [self.all_input_names[c] for c in self.cone_cols]
 
     def cone_rows(self) -> np.ndarray:
         """(num_solutions, |cone|) bit matrix restricted to cone inputs."""
@@ -165,10 +149,8 @@ class SolutionSet:
 
     def full_rows(self) -> np.ndarray:
         """(num_solutions, n) bit matrix over all primary inputs, read-only."""
-        n = len(self.all_input_names)
-        if self._dict is not None:
-            return np.array(list(self._dict.values()), dtype=np.uint8).reshape(-1, n)
         if len(self._blocks) != 1:
+            n = len(self.all_input_names)
             block = np.concatenate(self._blocks) if self._blocks else np.zeros((0, n), np.uint8)
             block.flags.writeable = False
             self._blocks = [block]
@@ -178,9 +160,7 @@ class SolutionSet:
         """Store the rows whose key is not yet known, in row order; return how many.
 
         `keys` are distinct `_pack_keys` keys in ascending order, and
-        `rows[first[i]]` is the row of `keys[i]`.  Once `solutions` has been
-        read, it holds the set, and the new rows are added to it; keys are
-        still looked up among those stored here.
+        `rows[first[i]]` is the row of `keys[i]`.
         """
         known = keys[:0] if self._keys is None else self._keys
         pos = np.searchsorted(known, keys)
@@ -189,11 +169,7 @@ class SolutionSet:
         if fresh.any():
             # The positions, found in the old array, ascend with the keys.
             self._keys = np.insert(known, pos[fresh], keys[fresh])
-            new = rows[np.sort(first[fresh])]
-            if self._dict is None:
-                self._blocks.append(new)
-            else:
-                self._dict.update(self._by_key(new))
+            self._blocks.append(rows[np.sort(first[fresh])])
         return int(fresh.sum())
 
 
@@ -417,7 +393,6 @@ def run_sampling(
     key_cols = cone.input_cols if config.dedup_scope == DEDUP_CONE else slice(None)
 
     result = SolutionSet(
-        input_names=[circuit.name(circuit.primary_inputs[c]) for c in cone.input_cols],
         all_input_names=[circuit.name(n) for n in circuit.primary_inputs],
         cone_cols=cone.input_cols,
         dedup_scope=config.dedup_scope,

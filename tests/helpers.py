@@ -12,15 +12,18 @@ import numpy as np
 
 from circsat import (
     Circuit,
+    CircuitError,
     ConstraintSet,
     Gate,
     GateKind,
     SamplerConfig,
+    SolutionSet,
     backward,
     forward,
     harden,
     parse_file,
 )
+from circsat.sampler import _pack_keys
 
 DATA = Path(__file__).parent / "data"
 ISCAS_DIR = Path(os.environ.get("CIRCSAT_ISCAS_DIR", DATA / "iscas85"))
@@ -220,6 +223,24 @@ def reference_backward(circuit: Circuit, values: np.ndarray, seeds: dict[int, np
     return adj[circuit.primary_inputs].T
 
 
+def support_cone(circuit: Circuit, constraints: ConstraintSet) -> set[int]:
+    """Primary inputs in the transitive fan-in of any pinned net, constants included.
+
+    A walk back from the pins over a net -> gate map of its own, so it does
+    not share code with `Circuit.compile`.
+    """
+    driver = {g.output: g for g in circuit.gates}
+    seen: set[int] = set()
+    stack = list(constraints.pins)
+    while stack:
+        net = stack.pop()
+        if net not in seen:
+            seen.add(net)
+            if net in driver:
+                stack.extend(driver[net].inputs)
+    return seen & set(circuit.primary_inputs)
+
+
 def brute_force_solutions(
     circuit: Circuit, constraints: ConstraintSet
 ) -> set[tuple[int, ...]]:
@@ -279,7 +300,7 @@ def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: Sam
     `eval_batch` over the whole circuit and a row-by-row dedup.  Returns
     (keys, rows, per-iteration (new, cumulative)).
     """
-    cone = circuit.support_cone(constraints)
+    cone = support_cone(circuit, constraints)
     mask = np.array([net in cone for net in circuit.primary_inputs])
     rng = np.random.Generator(np.random.Philox(key=config.seed & (2**64 - 1)))
     a = config.init_range
@@ -307,3 +328,111 @@ def reference_sampling(circuit: Circuit, constraints: ConstraintSet, config: Sam
                 new += 1
         counts.append((new, len(solutions)))
     return list(solutions), list(solutions.values()), counts
+
+
+def solutions_by_key(result: SolutionSet) -> dict[bytes, np.ndarray]:
+    """{packed key bits: full row} of a solution set, in discovery order.
+
+    A key is `np.packbits` of the row's dedup columns (the cone inputs, or
+    every input in scope 'all'), as `reference_sampling` makes it.  The rows
+    are those of `full_rows()`; no two of them may share a key.
+    """
+    rows = result.full_rows()
+    key_cols = result.cone_cols if result.dedup_scope == "cone" else slice(None)
+    by_key = {bytes(np.packbits(row[key_cols])): row for row in rows}
+    assert len(by_key) == len(rows), "two solutions share a key"
+    return by_key
+
+
+def add_rows(result: SolutionSet, rows: np.ndarray) -> int:
+    """Hand full rows with distinct keys to `result` as the sampler does; return how many were new.
+
+    The keys are `_pack_keys` keys of the dedup columns, handed over in
+    ascending order with the index of each key's row.
+    """
+    key_cols = result.cone_cols if result.dedup_scope == "cone" else slice(None)
+    keys = _pack_keys(rows[:, key_cols].T)
+    first = np.argsort(keys)
+    return result._add(keys[first], rows, first)
+
+
+# ---------------------------------------------------------------------------
+# Netlist writers and a DIMACS reader, for round trips through the parsers
+# and the encoder.  The package itself only reads netlists and writes DIMACS.
+# ---------------------------------------------------------------------------
+
+
+def to_verilog(circuit: Circuit, module_name: str = "top") -> str:
+    if any(g.kind.is_const for g in circuit.gates):
+        raise CircuitError("constant drivers cannot be expressed in the Verilog subset")
+    inputs = [circuit.name(n) for n in circuit.primary_inputs]
+    outputs = [circuit.name(n) for n in circuit.primary_outputs]
+    io = set(circuit.primary_inputs) | set(circuit.primary_outputs)
+    wires = [circuit.name(g.output) for g in circuit.gates if g.output not in io]
+    lines = [f"module {module_name}({','.join(inputs + outputs)});"]
+    lines.append(f"input {','.join(inputs)};")
+    lines.append(f"output {','.join(outputs)};")
+    if wires:
+        lines.append(f"wire {','.join(wires)};")
+    for gi, g in enumerate(circuit.gates):
+        kind = g.kind.value.lower()
+        args = ",".join([circuit.name(g.output)] + [circuit.name(n) for n in g.inputs])
+        lines.append(f"  {kind} U{gi}({args});")
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+def to_bench(circuit: Circuit) -> str:
+    if any(g.kind.is_const for g in circuit.gates):
+        raise CircuitError("constant drivers cannot be expressed in .bench")
+    lines = [f"INPUT({circuit.name(n)})" for n in circuit.primary_inputs]
+    lines += [f"OUTPUT({circuit.name(n)})" for n in circuit.primary_outputs]
+    for gi in circuit.topo_order():
+        g = circuit.gates[gi]
+        keyword = "BUFF" if g.kind is GateKind.BUF else g.kind.value
+        args = ", ".join(circuit.name(n) for n in g.inputs)
+        lines.append(f"{circuit.name(g.output)} = {keyword}({args})")
+    return "\n".join(lines) + "\n"
+
+
+def to_blif(circuit: Circuit, model_name: str = "top") -> str:
+    lines = [f".model {model_name}"]
+    lines.append(".inputs " + " ".join(circuit.name(n) for n in circuit.primary_inputs))
+    lines.append(".outputs " + " ".join(circuit.name(n) for n in circuit.primary_outputs))
+    for gi in circuit.topo_order():
+        g = circuit.gates[gi]
+        sig = " ".join(circuit.name(n) for n in g.inputs) + (" " if g.inputs else "")
+        lines.append(f".names {sig}{circuit.name(g.output)}")
+        f = len(g.inputs)
+        if g.kind.reduction == "xor":  # enumerate the on-set
+            cubes = [bits for bits in itertools.product((0, 1), repeat=f) if g.kind.truth(bits)]
+        else:  # all ones decides an 'and', all zeros an 'or'
+            cubes = [(int(g.kind.reduction == "and"),) * f]
+        for cube in cubes:
+            lines.append(f"{''.join(map(str, cube))} {g.kind.truth(cube)}".lstrip())
+    lines.append(".end")
+    return "\n".join(lines) + "\n"
+
+
+def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
+    """(variable count, clauses) of a DIMACS CNF text."""
+    var_count = None
+    clauses: list[list[int]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad problem line: '{line}'")
+            var_count = int(parts[2])
+            continue
+        lits = [int(t) for t in line.split()]
+        if lits and lits[-1] == 0:
+            lits = lits[:-1]
+        if lits:
+            clauses.append(lits)
+    if var_count is None:
+        raise ValueError("missing 'p cnf' header")
+    return var_count, clauses

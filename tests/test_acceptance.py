@@ -37,6 +37,7 @@ from helpers import (
     load,
     naive_eval,
     random_circuit,
+    solutions_by_key,
 )
 
 # Reference statistics for the ISCAS-85 benchmark suite:
@@ -283,9 +284,10 @@ def test_criterion_8_determinism_and_parallel_equivalence():
             config = SamplerConfig(batch_size=20_000, iterations=5, seed=42,
                                    threads=threads)
             result = run_sampling(c, cs, config)
+            by_key = solutions_by_key(result)
             return (
-                list(result.solutions.keys()),
-                [row.tolist() for row in result.solutions.values()],
+                list(by_key.keys()),
+                [row.tolist() for row in by_key.values()],
                 [(s.iteration, s.new_unique, s.cumulative_unique) for s in result.stats],
             )
 

@@ -1,4 +1,6 @@
 import csv
+import errno
+import itertools
 import json
 import multiprocessing
 import os
@@ -11,7 +13,7 @@ from circsat import cli, sampler
 from circsat.cli import main
 from circsat.sampler import SolutionSet
 
-from helpers import DATA
+from helpers import DATA, add_rows
 
 
 def run(*argv):
@@ -236,14 +238,46 @@ def per_row_text(result, emit_all_inputs):
 def test_solutions_text_equals_per_row_formula(count, scope, emit_all_inputs):
     rng = np.random.default_rng(count)
     rows = rng.integers(0, 2, size=(count, 5), dtype=np.uint8)
-    result = SolutionSet(
-        input_names=["b", "d", "e"], all_input_names=list("abcde"), cone_cols=[1, 3, 4],
-        dedup_scope=scope,
-    )
-    result.solutions.update({bytes([k]): row for k, row in enumerate(rows)})
+    # Distinct cone bits, so that no two rows share a key in either scope.
+    cone_bits = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.uint8)
+    rows[:, [1, 3, 4]] = cone_bits[rng.permutation(8)[:count]]
+    result = SolutionSet(all_input_names=list("abcde"), cone_cols=[1, 3, 4], dedup_scope=scope)
+    assert add_rows(result, rows) == count
+    assert result.input_names == ["b", "d", "e"]
     text = cli._solutions_text(result, emit_all_inputs)
     assert text == per_row_text(result, emit_all_inputs)
     assert len(text.splitlines()) == 1 + count
+
+
+FLOATING_NET_V = "module t(a,y);\ninput a;\noutput y;\nwire w;\nnot g1(y,a);\nendmodule\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_pin_on_a_net_nothing_drives_or_reads_is_input_error(tmp_path, capsys, command):
+    (tmp_path / "t.v").write_text(FLOATING_NET_V)
+    (tmp_path / "w.txt").write_text("w 1\n")
+    (tmp_path / "rows.txt").write_text("a\n1\n")
+    if command == "sample":
+        code = run(*sample_args(tmp_path, "t.v", "w.txt", **{"--batch": "10", "--iters": "1"}))
+    else:
+        code = verify(tmp_path, "t.v", "w.txt", "rows.txt")
+    assert code == 2
+    assert "error: pinned net 'w' is neither an input nor driven by a gate" in capsys.readouterr().err
+    assert not (tmp_path / "solutions.txt").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("command,flag", [("sample", "--out"), ("sample", "--stats"),
+                                          ("export-cnf", "--out")])
+def test_failed_output_write_is_input_error(c17, capsys, command, flag):
+    if command == "sample":
+        argv = sample_args(c17, "c17.bench", "pin2.txt",
+                           **{"--batch": "100", "--iters": "1", flag: "/dev/full"})
+    else:
+        argv = ["export-cnf", "--circuit", str(c17 / "c17.bench"), "--out", "/dev/full"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}" in err
 
 
 class TestVerify:

@@ -11,14 +11,13 @@ from circsat import (
     GateKind,
     SamplerConfig,
     forward,
-    parse_dimacs,
     run_sampling,
     tseytin_encode,
     write_dimacs,
 )
 
 from dpll import all_models
-from helpers import brute_force_solutions, load, naive_eval, one_gate, random_circuit
+from helpers import brute_force_solutions, load, naive_eval, one_gate, parse_dimacs, random_circuit
 
 
 def cnf_input_projections(circuit, cnf):

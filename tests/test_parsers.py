@@ -11,14 +11,11 @@ from circsat import (
     parse_constraints,
     parse_file,
     parse_verilog,
-    to_bench,
-    to_blif,
-    to_verilog,
     tseytin_encode,
     write_dimacs,
 )
 
-from helpers import DATA, load, random_circuit
+from helpers import DATA, load, random_circuit, to_bench, to_blif, to_verilog
 
 
 class TestVerilog:

@@ -27,7 +27,7 @@ from circsat import (
     run_sampling,
 )
 
-from helpers import load, one_gate, random_circuit
+from helpers import load, one_gate, random_circuit, solutions_by_key, support_cone
 
 EDGE_PROBS = np.array([0.0, 1.0, 5e-324, 1e-300, 0.5, np.nextafter(0.5, 0.0),
                        np.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-12, 0.25])
@@ -65,7 +65,7 @@ def test_program_equals_whole_circuit_at_every_cone_net(circuit_seed, n_inputs, 
     assert prog.primary_inputs == list(range(prog.num_inputs))
     assert [c.primary_inputs[col] for col in cone.input_cols] == glob[: prog.num_inputs]
     assert sorted(cone.input_cols) == cone.input_cols
-    assert {c.primary_inputs[col] for col in cone.input_cols} == c.support_cone(cs)
+    assert {c.primary_inputs[col] for col in cone.input_cols} == support_cone(c, cs)
     assert all(max(g.inputs) < g.output for g in prog.gates)
     assert [g.output for g in prog.gates] == list(range(prog.num_inputs, prog.num_nets))
     assert {glob[net]: bit for net, bit in cone.pins.items()} == cs.pins
@@ -199,6 +199,15 @@ def _constant_circuit():
     return Circuit(names, [0, 1], [4, 5, 6], gates)
 
 
+def test_pin_on_a_net_that_is_neither_an_input_nor_driven_is_named():
+    # w is declared but no gate drives or reads it, so the circuit is valid.
+    c = Circuit(["a", "y", "w"], [0], [1], [Gate(GateKind.NOT, (0,), 1)])
+    assert c.validate() == []
+    for pins in ({"w": 1}, {"y": 0, "w": 0}):
+        with pytest.raises(CircuitError, match="pinned net 'w' is neither an input nor driven"):
+            c.compile(ConstraintSet.from_names(c, pins))
+
+
 class TestConstantPins:
     def test_pin_contradicting_a_constant_is_unsatisfiable(self):
         c = _constant_circuit()
@@ -228,8 +237,8 @@ class TestConstantPins:
         cfg = SamplerConfig(batch_size=300, iterations=3, seed=2, dedup_scope="all")
         both = run_sampling(c, ConstraintSet.from_names(c, {"y": 1, "z": 1}), cfg)
         alone = run_sampling(c, ConstraintSet.from_names(c, {"z": 1}), cfg)
-        assert list(both.solutions) == list(alone.solutions)
-        assert [r.tolist() for r in both.solutions.values()] == [[1, 1]]
+        assert list(solutions_by_key(both)) == list(solutions_by_key(alone))
+        assert [r.tolist() for r in solutions_by_key(both).values()] == [[1, 1]]
         assert [(s.new_unique, s.loss_mean) for s in both.stats] == [
             (s.new_unique, s.loss_mean) for s in alone.stats
         ]

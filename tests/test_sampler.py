@@ -33,7 +33,10 @@ from helpers import (
     load,
     naive_eval,
     random_circuit,
+    add_rows,
     reference_sampling,
+    solutions_by_key,
+    support_cone,
     two_branch_sigmoid,
 )
 
@@ -338,15 +341,15 @@ class TestRunSampling:
         for chunk_rows, threads in ((8192, 1), (7, 1), (7, 3)):
             monkeypatch.setattr(sampler, "_CHUNK_ROWS", chunk_rows)
             r = run_sampling(c, cs, dataclasses.replace(cfg, threads=threads))
-            assert list(r.solutions) == keys
-            assert [row.tolist() for row in r.solutions.values()] == rows
+            assert list(solutions_by_key(r)) == keys
+            assert [row.tolist() for row in solutions_by_key(r).values()] == rows
             assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
     def test_every_solution_satisfies_pins(self):
         rng = np.random.default_rng(21)
         c = random_circuit(rng, n_inputs=8, n_gates=30)
         cs = ConstraintSet({c.primary_outputs[0]: 1})
-        if not c.support_cone(cs):
+        if not support_cone(c, cs):
             pytest.skip("degenerate cone")
         result = run_sampling(c, cs, SamplerConfig(batch_size=2048, iterations=4, seed=2))
         names = [c.name(n) for n in c.primary_inputs]
@@ -374,7 +377,7 @@ class TestRunSampling:
         r2 = run_sampling(c, cs, SamplerConfig(**base, threads=1))
         r8 = run_sampling(c, cs, SamplerConfig(**base, threads=8))
         for other in (r2, r8):
-            assert list(r1.solutions) == list(other.solutions)
+            assert list(solutions_by_key(r1)) == list(solutions_by_key(other))
             assert np.array_equal(r1.full_rows(), other.full_rows())
             assert [(s.new_unique, s.cumulative_unique, s.loss_mean) for s in r1.stats] == [
                 (s.new_unique, s.cumulative_unique, s.loss_mean) for s in other.stats
@@ -395,8 +398,8 @@ class TestRunSampling:
                                     dedup_scope=scope, threads=threads)
                 r = run_sampling(c, cs, cfg)
                 runs.append((
-                    list(r.solutions),
-                    [row.tolist() for row in r.solutions.values()],
+                    list(solutions_by_key(r)),
+                    [row.tolist() for row in solutions_by_key(r).values()],
                     [(s.iteration, s.new_unique, s.cumulative_unique) for s in r.stats],
                     [s.loss_mean for s in r.stats],
                 ))
@@ -420,8 +423,8 @@ class TestRunSampling:
         cfg = SamplerConfig(batch_size=600, iterations=5, seed=11, dedup_scope=scope, threads=2)
         r = run_sampling(c, cs, cfg)
         keys, rows, counts = reference_sampling(c, cs, cfg)
-        assert list(r.solutions) == keys
-        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert list(solutions_by_key(r)) == keys
+        assert [row.tolist() for row in solutions_by_key(r).values()] == rows
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
     @settings(max_examples=25, deadline=None)
@@ -434,8 +437,8 @@ class TestRunSampling:
                             learning_rate=5.0, dedup_scope=scope)
         r = run_sampling(c, cs, cfg)
         keys, rows, counts = reference_sampling(c, cs, cfg)
-        assert list(r.solutions) == keys
-        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert list(solutions_by_key(r)) == keys
+        assert [row.tolist() for row in solutions_by_key(r).values()] == rows
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -459,8 +462,8 @@ class TestRunSampling:
         cfg = SamplerConfig(batch_size=61, iterations=5, seed=2, threads=threads)
         r = run_sampling(c, cs, cfg)
         keys, rows, counts = reference_sampling(c, cs, cfg)
-        assert list(r.solutions) == keys
-        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert list(solutions_by_key(r)) == keys
+        assert [row.tolist() for row in solutions_by_key(r).values()] == rows
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
         nets = c.compile(cs).circuit.num_nets
@@ -519,7 +522,7 @@ class TestRunSampling:
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive() and len(runs) == 1
-        assert list(runs[0].solutions) == list(serial.solutions)
+        assert list(solutions_by_key(runs[0])) == list(solutions_by_key(serial))
         assert np.array_equal(runs[0].full_rows(), serial.full_rows())
         assert [s.loss_mean for s in runs[0].stats] == [s.loss_mean for s in serial.stats]
 
@@ -581,7 +584,7 @@ class TestRunSampling:
         for seed in range(5):
             c = random_circuit(rng, n_inputs=6, n_gates=20)
             cs = ConstraintSet({c.primary_outputs[0]: 1})
-            cone = c.support_cone(cs)
+            cone = support_cone(c, cs)
             if not cone:
                 continue
             brute = brute_force_solutions(c, cs)
@@ -606,7 +609,7 @@ class TestRunSampling:
     def test_dont_care_fill_is_deterministic(self):
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"22": 0})  # cone excludes input 7
-        cone = {c.name(n) for n in c.support_cone(cs)}
+        cone = {c.name(n) for n in support_cone(c, cs)}
         assert cone == {"1", "2", "3", "6"}
         cfg = SamplerConfig(batch_size=4096, iterations=2, seed=17)
         r1 = run_sampling(c, cs, cfg)
@@ -645,7 +648,7 @@ class TestWorkerProcesses:
             assert len(starts) == children
             assert multiprocessing.active_children() == []
             runs[batch, threads] = (
-                list(r.solutions), r.full_rows().tolist(),
+                list(solutions_by_key(r)), r.full_rows().tolist(),
                 [(s.new_unique, s.satisfied_rows, s.loss_mean) for s in r.stats],
             )
         assert runs[61, 10**6] == runs[61, 0] == runs[61, 1]
@@ -666,11 +669,11 @@ class TestWorkerProcesses:
         _two_cores_counting_starts(monkeypatch)
         c, cs = c15_with_pin()
         cfg = SamplerConfig(batch_size=61, iterations=20, seed=1, threads=2)
-        serial = list(run_sampling(c, cs, dataclasses.replace(cfg, threads=1)).solutions)
+        serial = list(solutions_by_key(run_sampling(c, cs, dataclasses.replace(cfg, threads=1))))
         runs = []
 
         def target():
-            runs.append(list(run_sampling(c, cs, cfg).solutions))
+            runs.append(list(solutions_by_key(run_sampling(c, cs, cfg))))
 
         workers = [threading.Thread(target=target, daemon=True) for _ in range(2)]
         for worker in workers:
@@ -838,8 +841,8 @@ class TestHarvestOnlyChangedRows:
         cfg = SamplerConfig(batch_size=3000, iterations=6, seed=3, threads=threads)
         r = run_sampling(c, cs, cfg)
         keys, rows, counts = reference_sampling(c, cs, cfg)
-        assert list(r.solutions) == keys
-        assert [row.tolist() for row in r.solutions.values()] == rows
+        assert list(solutions_by_key(r)) == keys
+        assert [row.tolist() for row in solutions_by_key(r).values()] == rows
         assert [(s.new_unique, s.cumulative_unique) for s in r.stats] == counts
 
         # Every iteration's chunks finish before the next iteration starts.
@@ -859,7 +862,7 @@ class TestHarvestOnlyChangedRows:
         monkeypatch.setattr(sampler, "init_embeddings",
                             lambda config, n, lo=0, hi=None: V0[lo:hi].copy())
         r = run_sampling(c, cs, SamplerConfig(batch_size=1, iterations=3))
-        assert [row.tolist() for row in r.solutions.values()] == [[1, 0], [1, 1]]
+        assert [row.tolist() for row in solutions_by_key(r).values()] == [[1, 0], [1, 1]]
         assert [(s.new_unique, s.satisfied_rows) for s in r.stats] == [(1, 1), (1, 1), (0, 1)]
 
     @pytest.mark.parametrize("met_before", [False, True])
@@ -984,7 +987,7 @@ def test_non_numeric_fields_rejected(field, value):
 def test_sampled_rows_are_verified_distinct_brute_force_solutions(circuit_seed, target, scope, seed):
     c = random_circuit(np.random.default_rng(circuit_seed), n_inputs=5, n_gates=10)
     cs = ConstraintSet({c.primary_outputs[0]: target})
-    assume(c.support_cone(cs))
+    assume(support_cone(c, cs))
     cfg = SamplerConfig(batch_size=96, iterations=3, seed=seed, dedup_scope=scope)
     result = run_sampling(c, cs, cfg)
     rows = result.full_rows()
@@ -1009,7 +1012,7 @@ def test_buffers_too_small_for_the_chunk_are_rejected_by_forward():
 
 class TestSolutionRows:
     def _stacked(self, result):
-        full = np.stack(list(result.solutions.values()))
+        full = np.stack(list(solutions_by_key(result).values()))
         return full, full[:, result.cone_cols]
 
     def test_sampled_set(self):
@@ -1020,50 +1023,35 @@ class TestSolutionRows:
         assert np.array_equal(r.cone_rows(), cone) and r.cone_rows().dtype == np.uint8
 
     def test_empty_set(self):
-        r = SolutionSet(["b"], ["a", "b", "c"], [1], "cone")
+        r = SolutionSet(["a", "b", "c"], [1], "cone")
         assert r.full_rows().shape == (0, 3) and r.full_rows().dtype == np.uint8
         assert r.cone_rows().shape == (0, 1) and r.cone_rows().dtype == np.uint8
-
-    def test_hand_built_set_after_a_delete_and_an_insert(self):
-        r = SolutionSet(["a", "c"], ["a", "b", "c"], [0, 2], "all")
-        block = np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
-        r.solutions.update({b"x": block[0], b"y": block[1], b"z": block[2]})
-        del r.solutions[b"y"]
-        r.solutions[b"w"] = np.array([0, 1, 0], dtype=np.uint8)
-        full, cone = self._stacked(r)
-        assert np.array_equal(r.full_rows(), full)
-        assert np.array_equal(r.cone_rows(), cone)
-        assert r.full_rows().tolist() == [[0, 0, 1], [1, 1, 1], [0, 1, 0]]
+        assert r.input_names == ["b"]
 
     @pytest.mark.parametrize("width", [3, 70])
-    def test_rows_added_after_the_dict_was_read_show_everywhere(self, width):
+    def test_rows_added_after_the_rows_were_read_show_everywhere(self, width):
         # Keys of one word and of two; the second add repeats a known key.
         rows = np.random.default_rng(width).integers(0, 2, size=(5, width + 1), dtype=np.uint8)
         rows[:, 0] = 0  # outside the cone
         rows[:4, 1:4] = [[0, 0, 1], [0, 1, 0], [1, 0, 1], [1, 1, 0]]  # four distinct keys
         rows[4] = rows[1]
 
-        def add(r, lo, hi):
-            keys = sampler._pack_keys(rows[lo:hi, 1:].T)
-            first = np.argsort(keys)
-            return r._add(keys[first], rows[lo:hi], first)
-
         names = [f"x{i}" for i in range(width + 1)]
-        plain, read = (SolutionSet(names[1:], names, list(range(1, width + 1)), "cone")
-                       for _ in range(2))
-        assert add(plain, 0, 3) == add(read, 0, 3) == 3
-        assert len(read.solutions) == 3
-        assert add(plain, 3, 5) == add(read, 3, 5) == 1
+        plain, read = (SolutionSet(names, list(range(1, width + 1)), "cone") for _ in range(2))
+        assert add_rows(plain, rows[0:3]) == add_rows(read, rows[0:3]) == 3
+        assert len(read.full_rows()) == 3
+        assert add_rows(plain, rows[3:5]) == add_rows(read, rows[3:5]) == 1
         assert len(read) == len(plain) == 4
         assert np.array_equal(read.full_rows(), plain.full_rows())
         assert np.array_equal(read.full_rows(), rows[:4])
-        assert list(read.solutions) == list(plain.solutions)
+        assert list(solutions_by_key(read)) == list(solutions_by_key(plain))
 
     def test_rows_of_one_run_survive_a_second_run_on_the_same_circuit(self):
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
         first = run_sampling(c, cs, SamplerConfig(batch_size=300, iterations=3, seed=4))
-        kept = {key: row.copy() for key, row in first.solutions.items()}
+        kept = {key: row.copy() for key, row in solutions_by_key(first).items()}
         run_sampling(c, cs, SamplerConfig(batch_size=300, iterations=3, seed=5))
-        assert list(first.solutions) == list(kept)
-        assert all(np.array_equal(first.solutions[k], row) for k, row in kept.items())
+        now = solutions_by_key(first)
+        assert list(now) == list(kept)
+        assert all(np.array_equal(now[k], row) for k, row in kept.items())
