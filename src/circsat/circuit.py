@@ -4,6 +4,7 @@ Nets are referenced by dense integer ids; names are kept alongside for
 diagnostics and file I/O.  A Circuit is immutable after construction and safe
 to share across threads.  Cycles are found in one place: `topo_order` names
 one when its sort gets stuck, and `validate` reports that as a diagnostic.
+`lowered` is the one form of the gates that every evaluator reads.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class GateKind(Enum):
     'and' over no inputs is 1 -- followed by an optional output inversion.
     n-ary XNOR is the left fold of binary XNOR, i.e. parity inverted exactly
     when the fan-in is even.  The constants are 'and' over zero inputs.  The
-    relaxed model, the oracle, the Tseytin encoder and the BLIF covers all
-    read this table.
+    relaxed model, the oracle and the Tseytin encoder read this table through
+    `Circuit.lowered`, and the BLIF covers and constant folding through `truth`.
     """
 
     NOT = "NOT"
@@ -95,6 +96,21 @@ class Gate:
 
 
 @dataclass(frozen=True)
+class Lowered:
+    """A circuit's gates in topological order, with `GateKind` read off once.
+
+    `gates` holds (reduction, inverted, inputs, output) per gate.  `width` is
+    the widest fan-in, `undriven` the nets that are neither inputs nor driven,
+    and `leading_inputs` whether the inputs are nets 0..n-1.
+    """
+
+    gates: list[tuple[str, bool, tuple[int, ...], int]]
+    width: int
+    undriven: list[int]
+    leading_inputs: bool
+
+
+@dataclass(frozen=True)
 class ConstraintSet:
     """Pinned target bits on nets (outputs or intermediates)."""
 
@@ -134,8 +150,7 @@ class Circuit:
             self.driver.setdefault(g.output, gi)
         self._topo: list[int] | None = None
         self._diags: list[str] | None = None
-        self._schedule = None  # the relaxed passes' lowered gates, see probsim
-        self._programs: dict[frozenset, ConeProgram] = {}
+        self._lowered: Lowered | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -248,14 +263,30 @@ class Circuit:
         self._topo = order
         return order
 
+    def lowered(self) -> Lowered:
+        """The gates in topological order with their semantics, lowered once.
+
+        The relaxed passes, the oracle, the CNF encoder and `depth` read it.
+        """
+        if self._lowered is None:
+            gates = [self.gates[gi] for gi in self.topo_order()]
+            driven = set(self.primary_inputs) | self.driver.keys()
+            self._lowered = Lowered(
+                [(g.kind.reduction, g.kind.inverted(len(g.inputs)), g.inputs, g.output)
+                 for g in gates],
+                max((len(g.inputs) for g in gates), default=0),
+                [n for n in range(self.num_nets) if n not in driven],
+                self.primary_inputs == list(range(self.num_inputs)),
+            )
+        return self._lowered
+
     def depth(self) -> int:
         """Topological depth: longest input-to-output gate chain."""
-        level = {net: 0 for net in self.primary_inputs}
+        level = [0] * self.num_nets
         d = 0
-        for gi in self.topo_order():
-            g = self.gates[gi]
-            lv = 1 + max((level.get(net, 0) for net in g.inputs), default=0)
-            level[g.output] = lv
+        for _, _, inputs, output in self.lowered().gates:
+            lv = 1 + max((level[net] for net in inputs), default=0)
+            level[output] = lv
             d = max(d, lv)
         return d
 
@@ -277,12 +308,10 @@ class Circuit:
         b = inputs.shape[0]
         for col, net in enumerate(self.primary_inputs):
             vals[net] = inputs[:, col].astype(bool)
-        for gi in self.topo_order():
-            g = self.gates[gi]
-            rows = [vals[n] for n in g.inputs]
-            inverted = g.kind.inverted(len(rows))
+        for reduction, inverted, inputs, output in self.lowered().gates:
+            rows = [vals[n] for n in inputs]
             if len(rows) > 1:
-                op = _REDUCE[g.kind.reduction]
+                op = _REDUCE[reduction]
                 value = op(rows[0], rows[1])
                 for r in rows[2:]:
                     op(value, r, out=value)
@@ -292,7 +321,7 @@ class Circuit:
                 value = np.logical_not(rows[0]) if inverted else rows[0]
             else:
                 value = np.full(b, not inverted)
-            vals[g.output] = value
+            vals[output] = value
         if nets is None:
             nets = self.primary_outputs
         # Net-major, so each net's row is one contiguous write; callers that
@@ -305,18 +334,13 @@ class Circuit:
     # -- the compiled cone program ----------------------------------------
 
     def compile(self, constraints: ConstraintSet) -> ConeProgram:
-        """The `ConeProgram` of the pinned nets, compiled once per set of pins.
+        """The `ConeProgram` of the pinned nets.
 
         A net whose fan-in holds no primary input is constant.  A constant
         net in the cone becomes one constant gate, and its fan-in leaves the
         cone; a pin on it stays, so the program's oracle judges it.
         """
-        key = frozenset(constraints.pins.items())
-        if key not in self._programs:
-            self._programs[key] = self._compile(constraints.pins)
-        return self._programs[key]
-
-    def _compile(self, pins: dict[int, int]) -> ConeProgram:
+        pins = constraints.pins
         const: dict[int, int] = {}
         for gi in self.topo_order():
             g = self.gates[gi]

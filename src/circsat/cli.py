@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import sys
@@ -78,7 +79,7 @@ def _unwritable(path: Path) -> str | None:
     return None
 
 
-def _write(path: str, text: str) -> bool:
+def _write(path: str | Path, text: str) -> bool:
     """Write `text` to the file at `path`; if that fails, say why and return False."""
     try:
         Path(path).write_text(text)
@@ -236,7 +237,7 @@ def cmd_info(args) -> int:
         "gates": len(circuit.gates),
         "nets": circuit.num_nets,
         "gate_histogram": dict(sorted(hist.items())),
-        "max_fan_in": max((len(g.inputs) for g in circuit.gates), default=0),
+        "max_fan_in": circuit.lowered().width,
         "depth": circuit.depth(),
     }
     if args.json:
@@ -313,11 +314,13 @@ def cmd_bench(args) -> int:
             wall_ms = (time.perf_counter() - t0) * 1000.0
         except (ParseError, CircuitError, OSError, ValueError, MemoryError) as exc:
             print(f"{label}: FAILED: {exc}", file=sys.stderr)
-            (out_dir / f"{label}.error.txt").write_text(str(exc) + "\n")
+            if not _write(out_dir / f"{label}.error.txt", str(exc) + "\n"):
+                return EXIT_INPUT
             any_failed = True
             continue
         report = _report(result, config, cell["circuit"], cell["constraints"], wall_ms)
-        (out_dir / f"{label}.stats.json").write_text(json.dumps(report, indent=2) + "\n")
+        if not _write(out_dir / f"{label}.stats.json", json.dumps(report, indent=2) + "\n"):
+            return EXIT_INPUT
         cum_ms = 0.0
         for s in result.stats:
             cum_ms += s.elapsed_ms
@@ -342,10 +345,12 @@ def cmd_bench(args) -> int:
         print(f"{label}: {Path(cell['circuit']).name} lr={cell['lr']} "
               f"seed={cell['seed']} -> {len(result)} unique in {wall_ms:.1f} ms")
     if csv_rows:
-        with open(out_dir / "bench.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
-            writer.writeheader()
-            writer.writerows(csv_rows)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(csv_rows[0]))
+        writer.writeheader()
+        writer.writerows(csv_rows)
+        if not _write(out_dir / "bench.csv", text.getvalue()):
+            return EXIT_INPUT
     return EXIT_BENCH_PARTIAL if any_failed else EXIT_OK
 
 

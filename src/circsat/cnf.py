@@ -2,11 +2,12 @@
 
 One variable per net, full biconditional encoding (both implication
 directions), so models of the CNF projected onto the primary-input variables
-are exactly the circuit's satisfying assignments.  Each gate is encoded from
-the semantics table of `GateKind`: an inverted gate negates its output
-literal, an 'or' reduction is an 'and' over negated literals with the output
-negated once more (De Morgan), and an 'xor' reduction with fan-in > 2 is a
-chain of binary XOR stages through auxiliary variables, four clauses each.
+are exactly the circuit's satisfying assignments.  Each gate of
+`Circuit.lowered()` is encoded from its reduction and inversion: an inverted
+gate negates its output literal, an 'or' reduction is an 'and' over negated
+literals with the output negated once more (De Morgan), and an 'xor'
+reduction with fan-in > 2 is a chain of binary XOR stages through auxiliary
+variables, four clauses each.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ def tseytin_encode(circuit: Circuit, constraints: ConstraintSet | None = None) -
     next_var = circuit.num_nets + 1
     clauses: list[list[int]] = []
 
-    for gi in circuit.topo_order():
-        g = circuit.gates[gi]
-        y = var_map[g.output]
-        xs = [var_map[n] for n in g.inputs]
-        op = g.kind.reduction
+    for op, inverted, inputs, output in circuit.lowered().gates:
+        y = var_map[output]
+        xs = [var_map[n] for n in inputs]
         if op == "or":  # OR(xs) = NOT AND(NOT xs)
             xs = [-x for x in xs]
-        if g.kind.inverted(len(xs)) != (op == "or"):
+        if inverted != (op == "or"):
             y = -y
         if op != "xor":  # y <-> AND(xs)
             clauses += [[-y, x] for x in xs]

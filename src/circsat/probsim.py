@@ -2,18 +2,19 @@
 
 Each gate is relaxed with the standard probability model of logic gates (the
 same algebra used in stochastic computing and switching-activity
-estimation), read off the semantics table of `GateKind`: the reduction is the
-product c of one factor per input -- p for 'and', 1 - p for 'or' and 1 - 2p
-for 'xor' -- mapped to the probability that the gate outputs 1.  The
-derivative with respect to one input is the product of the other inputs'
-factors, negated when the gate inverts its reduction.
+estimation), applied to the (reduction, inverted) pair of each gate in
+`Circuit.lowered()`: the reduction is the product c of one factor per input
+-- p for 'and', 1 - p for 'or' and 1 - 2p for 'xor' -- mapped to the
+probability that the gate outputs 1.  The derivative with respect to one
+input is the product of the other inputs' factors, negated when the gate
+inverts its reduction.
 
-Each circuit's gates are lowered once to a schedule cached on the circuit.
-The forward pass walks it and returns the tape, a plain (num_nets, b) array
-with one probability row per net; the backward pass takes that array, walks
-the schedule in reverse and carries seed gradients on pinned nets down to
-the primary inputs, writing a net's first contribution into its row and
-adding later ones.  Both run on whatever circuit they are given: the sampler
+The forward pass walks the circuit's lowered gates and returns the tape, a
+plain (num_nets, b) array with one probability row per net; the backward
+pass takes that array, walks the lowered gates in reverse and carries seed
+gradients on pinned nets down to the primary inputs, writing a net's first
+contribution into its row and adding later ones.  Neither pass looks up a
+gate kind.  Both run on whatever circuit they are given: the sampler
 gives them the dense cone program of `Circuit.compile`, and with it one tape
 and one adjoint buffer per worker, reused for every chunk of a run through
 the passes' `out=` argument.  Values are exact at binary input points, where
@@ -26,61 +27,26 @@ float32; float64 callers get float64 tapes and gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import Circuit, CircuitError
 
-# reduction -> (factor code, a, s) with P(out = 1) = a + s * c for the product
-# c of one factor per input: p for 'and' (code 0), 1 - p for 'or' (1) and
-# 1 - 2p for 'xor' (2).  c is P(all inputs 1) for 'and', P(all inputs 0) for
-# 'or' and the parity bias P(even) - P(odd) for 'xor'.  An inverted gate gives
-# (1 - a) - s * c.
-_RELAXED = {"and": (0, 0.0, 1.0), "or": (1, 1.0, -1.0), "xor": (2, 0.5, -0.5)}
+# _RELAXED[reduction][inverted] is (a, s) with P(out = 1) = a + s * c for the
+# product c of one factor per input: p for 'and', 1 - p for 'or' and 1 - 2p for
+# 'xor'.  c is P(all inputs 1) for 'and', P(all inputs 0) for 'or' and the
+# parity bias P(even) - P(odd) for 'xor'.  An inverted gate gives (1 - a) - s * c.
+_RELAXED = {
+    "and": ((0.0, 1.0), (1.0, -1.0)),
+    "or": ((1.0, -1.0), (0.0, 1.0)),
+    "xor": ((0.5, -0.5), (0.5, 0.5)),
+}
 
 
-@dataclass(frozen=True)
-class _Schedule:
-    """A circuit's gates in topological order, lowered for the relaxed passes.
-
-    `gates` holds (factor code, a, s, inverted, inputs, output) per gate,
-    `unwritten` the nets that are neither inputs nor driven, and `width` the
-    widest fan-in.  `leading_inputs` says whether the inputs are nets 0..n-1.
-    """
-
-    gates: list[tuple[int, float, float, bool, tuple[int, ...], int]]
-    unwritten: list[int]
-    width: int
-    leading_inputs: bool
-
-
-def _schedule(circuit: Circuit) -> _Schedule:
-    """The relaxed schedule of `circuit`, lowered once and cached on it."""
-    if circuit._schedule is None:
-        gates = []
-        for gi in circuit.topo_order():
-            g = circuit.gates[gi]
-            code, a, s = _RELAXED[g.kind.reduction]
-            inverted = g.kind.inverted(len(g.inputs))
-            if inverted:
-                a, s = 1.0 - a, -s
-            gates.append((code, a, s, inverted, g.inputs, g.output))
-        written = set(circuit.primary_inputs) | circuit.driver.keys()
-        circuit._schedule = _Schedule(
-            gates,
-            [n for n in range(circuit.num_nets) if n not in written],
-            max((len(g.inputs) for g in circuit.gates), default=0),
-            circuit.primary_inputs == list(range(circuit.num_inputs)),
-        )
-    return circuit._schedule
-
-
-def _factors(code: int, values: np.ndarray, inputs: tuple[int, ...], scratch: np.ndarray) -> list:
+def _factors(op: str, values: np.ndarray, inputs: tuple[int, ...], scratch: np.ndarray) -> list:
     """One factor row per input: the tape rows for 'and', else written into scratch rows."""
-    if code == 0:
+    if op == "and":
         return [values[n] for n in inputs]
-    if code == 1:
+    if op == "or":
         return [np.subtract(1.0, values[n], out=scratch[j]) for j, n in enumerate(inputs)]
     return [np.subtract(1.0, np.multiply(2.0, values[n], out=scratch[j]), out=scratch[j])
             for j, n in enumerate(inputs)]
@@ -116,17 +82,18 @@ def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = 
     values = np.empty((circuit.num_nets, b), dtype) if out is None else out[:, :b]
     if values.shape != (circuit.num_nets, b):
         raise CircuitError(f"tape buffer of shape {out.shape} cannot hold {circuit.num_nets} x {b}")
-    sched = _schedule(circuit)
+    low = circuit.lowered()
     # A net that is neither an input nor driven by a gate reads 0, as in a new array.
-    values[sched.unwritten] = 0.0
+    values[low.undriven] = 0.0
     leading = values[: circuit.num_inputs]
-    if not (sched.leading_inputs and input_probs.ctypes.data == leading.ctypes.data
+    if not (low.leading_inputs and input_probs.ctypes.data == leading.ctypes.data
             and input_probs.T.strides == leading.strides):
         values[circuit.primary_inputs] = input_probs.T
-    scratch = np.empty((sched.width, b), dtype)
-    for code, a, s, _, inputs, output in sched.gates:
+    scratch = np.empty((low.width, b), dtype)
+    for reduction, inverted, inputs, output in low.gates:
+        a, s = _RELAXED[reduction][inverted]
         row = values[output]
-        factors = _factors(code, values, inputs, scratch)
+        factors = _factors(reduction, values, inputs, scratch)
         if len(factors) > 1:
             _product(factors, row)
         else:
@@ -166,13 +133,13 @@ def backward(
             raise CircuitError(f"pinned net id {net} not in circuit")
         adj[net] = np.asarray(seed, dtype=adj.dtype)
         written[net] = True
-    sched = _schedule(circuit)
-    scratch = np.empty((sched.width + 1, b), adj.dtype)
-    other = scratch[sched.width]  # a later contribution, before it is added
-    for code, _, _, inverted, inputs, output in reversed(sched.gates):
+    low = circuit.lowered()
+    scratch = np.empty((low.width + 1, b), adj.dtype)
+    other = scratch[low.width]  # a later contribution, before it is added
+    for reduction, inverted, inputs, output in reversed(low.gates):
         if not written[output]:
             continue
-        factors = _factors(code, tape, inputs, scratch)
+        factors = _factors(reduction, tape, inputs, scratch)
         for i, net in enumerate(inputs):
             terms = factors[:i] + factors[i + 1 :] + [adj[output]]
             if not written[net]:

@@ -1,9 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from circsat import Circuit, CircuitError, ConstraintSet, Gate, GateKind
+from circsat import (
+    Circuit, CircuitError, ConstraintSet, Gate, GateKind, backward, forward, tseytin_encode,
+)
 
 from helpers import brute_force_solutions, load, naive_eval, random_circuit
 
@@ -94,6 +97,82 @@ class TestTopoOrder:
         c = Circuit(["a", "y"], [0], [1], [Gate(GateKind.NOT, (1,), 1)])
         with pytest.raises(CircuitError, match="cycle"):
             c.topo_order()
+
+
+def shuffled(c: Circuit, rng: np.random.Generator) -> Circuit:
+    """`c` with its net ids shuffled, plus a net driven by CONST1 and one that nothing drives."""
+    perm = [int(n) for n in rng.permutation(c.num_nets + 2)]  # old id -> new id
+    names = [""] * len(perm)
+    for old, name in enumerate(c.names + ["k", "floating"]):
+        names[perm[old]] = name
+    gates = [Gate(g.kind, tuple(perm[n] for n in g.inputs), perm[g.output]) for g in c.gates]
+    gates.append(Gate(GateKind.CONST1, (), perm[c.num_nets]))
+    return Circuit(names, [perm[n] for n in c.primary_inputs],
+                   [perm[n] for n in c.primary_outputs], gates)
+
+
+def naive_depth(c: Circuit) -> int:
+    """Longest input-to-output gate chain, by recursion over each net's driver."""
+    @functools.cache
+    def level(net: int) -> int:
+        if net in c.primary_inputs or net not in c.driver:
+            return 0
+        return 1 + max((level(n) for n in c.gates[c.driver[net]].inputs), default=0)
+
+    return max(map(level, range(c.num_nets)), default=0)
+
+
+def random_and_shuffled_circuits(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = random_circuit(rng, n_inputs=5, n_gates=int(rng.integers(1, 40)), max_fan_in=4)
+        yield c
+        yield shuffled(c, rng)
+
+
+class TestLowered:
+    def test_lists_the_topological_gates_with_their_semantics(self):
+        seen = set()
+        for c in random_and_shuffled_circuits(3, 30):
+            low = c.lowered()
+            gates = [c.gates[gi] for gi in c.topo_order()]
+            assert low.gates == [(g.kind.reduction, g.kind.inverted(len(g.inputs)), g.inputs, g.output)
+                                 for g in gates]
+            assert low.width == max(len(g.inputs) for g in c.gates)
+            driven = set(c.primary_inputs) | {g.output for g in c.gates}
+            assert low.undriven == [n for n in range(c.num_nets) if n not in driven]
+            assert low.leading_inputs == (c.primary_inputs == list(range(c.num_inputs)))
+            assert c.lowered() is low
+            seen.add((bool(low.undriven), low.leading_inputs))
+        assert seen == {(False, True), (True, False)}
+
+    def test_depth_is_the_longest_gate_chain(self):
+        for c in random_and_shuffled_circuits(5, 30):
+            assert c.depth() == naive_depth(c)
+
+    def test_evaluators_do_not_read_gate_kinds_after_lowering(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        c = shuffled(random_circuit(rng, n_inputs=5, n_gates=40, max_fan_in=4), rng)
+        P = rng.uniform(size=(6, c.num_inputs))
+        seeds = {net: np.ones(6) for net in c.primary_outputs}
+
+        def run():
+            tape = forward(c, P)
+            arrays = (c.eval_batch(ALL_ROWS5, nets=[g.output for g in c.gates]), tape,
+                      backward(c, tape, seeds))
+            return arrays, (tseytin_encode(c).clauses, c.depth())
+
+        before_arrays, before = run()
+
+        def no_kind_reads(*_):
+            raise AssertionError("a GateKind was read after lowering")
+
+        monkeypatch.setattr(GateKind, "reduction", property(no_kind_reads))
+        monkeypatch.setattr(GateKind, "inverted", no_kind_reads)
+        after_arrays, after = run()
+        assert after == before
+        for old, new in zip(before_arrays, after_arrays):
+            assert np.array_equal(old, new)
 
 
 ALL_ROWS5 = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)

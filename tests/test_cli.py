@@ -620,6 +620,15 @@ class TestBench:
                    "--out-dir", str(c17 / out_dir)) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["cell000.stats.json", "bench.csv"])
+    def test_failed_write_is_input_error(self, c17, capsys, blocked):
+        (c17 / "manifest.json").write_text(json.dumps({"cells": [self.C17_CELL]}))
+        (c17 / "out" / blocked).mkdir(parents=True)
+        assert run("bench", "--manifest", str(c17 / "manifest.json"),
+                   "--out-dir", str(c17 / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write '{c17 / 'out' / blocked}': {os.strerror(errno.EISDIR)}" in err
+
     def test_empty_manifest_is_input_error(self, tmp_path):
         (tmp_path / "m.json").write_text("{}")
         assert run("bench", "--manifest", str(tmp_path / "m.json"),

@@ -243,11 +243,6 @@ class TestConstantPins:
             (s.new_unique, s.loss_mean) for s in alone.stats
         ]
 
-    def test_program_compiles_its_own_pins_to_itself(self):
-        c = _constant_circuit()
-        cone = c.compile(ConstraintSet.from_names(c, {"w": 1, "z": 0}))
-        assert c.compile(ConstraintSet.from_names(c, {"z": 0, "w": 1})) is cone
-
     def test_program_is_freed_with_its_source_without_the_cyclic_collector(self):
         # Nothing in a program refers back to it, so reference counting frees it.
         c = load("c17.bench")
