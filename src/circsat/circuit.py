@@ -296,16 +296,16 @@ class Circuit:
         """Vectorized discrete simulation of a (b, n) 0/1 matrix.
 
         Returns a (b, len(nets)) uint8 array, the transpose of a net-major
-        one; `nets` defaults to the primary outputs.  Column order of
-        `inputs` follows `primary_inputs`.
+        one; `nets` defaults to the primary outputs, and an undriven net
+        reads 0.  Column order of `inputs` follows `primary_inputs`.
         """
         inputs = np.asarray(inputs)
         if inputs.ndim != 2 or inputs.shape[1] != self.num_inputs:
             raise CircuitError(
                 f"expected input matrix of shape (b, {self.num_inputs}), got {inputs.shape}"
             )
-        vals: dict[int, np.ndarray] = {}
         b = inputs.shape[0]
+        vals = dict.fromkeys(self.lowered().undriven, np.zeros(b, bool))
         for col, net in enumerate(self.primary_inputs):
             vals[net] = inputs[:, col].astype(bool)
         for reduction, inverted, inputs, output in self.lowered().gates:

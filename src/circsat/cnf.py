@@ -7,7 +7,7 @@ are exactly the circuit's satisfying assignments.  Each gate of
 gate negates its output literal, an 'or' reduction is an 'and' over negated
 literals with the output negated once more (De Morgan), and an 'xor'
 reduction with fan-in > 2 is a chain of binary XOR stages through auxiliary
-variables, four clauses each.
+variables, four clauses each.  A unit clause makes an undriven net 0.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ def tseytin_encode(circuit: Circuit, constraints: ConstraintSet | None = None) -
             acc = next_var
             next_var += 1
         clauses += _binary_xor_clauses(acc, xs[-1], y)
+    clauses += [[-var_map[net]] for net in circuit.lowered().undriven]
 
     comments = [
         f"input {circuit.name(net)} {var_map[net]}" for net in circuit.primary_inputs

@@ -23,7 +23,7 @@ not re-harvested.
 The rows are independent, so the chunks run on worker processes: worker 0 is
 the caller, and the others are forked before anything is drawn.  Worker w
 draws chunks w, w + workers, ... itself and owns them for the whole run, with
-one tape and adjoint buffer pair; it steps them every iteration and packs and
+one `Workspace` of buffers; it steps them every iteration and packs and
 deduplicates their keys, and a forked worker sends each iteration's results
 without waiting to be asked.  Only the lookup in the solution set and the
 insert are serial, and chunks are harvested in a fixed order, so results do
@@ -212,41 +212,58 @@ def init_embeddings(
     return V
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, e: np.ndarray | None = None):
     # exp of a non-positive number never overflows; equal bit for bit to
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.  As e <= 1, the
     # numerator max(e, x >= 0) is 1 for x >= 0 and e below, without a branch.
-    e = np.abs(x)
+    out = np.empty_like(x) if out is None else out
+    e = np.abs(x, out=e)
     np.negative(e, out=e)  # -|x|
     np.exp(e, out=e)
-    p = np.maximum(e, x >= 0, out=out)
-    return np.divide(p, np.add(1.0, e, out=e), out=p)
+    np.greater_equal(x, 0, out=out)
+    np.maximum(e, out, out=out)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
+
+
+class Workspace:
+    """A worker's buffers for `loss_and_grad`: (cone nets, rows) `tape` and `adj`, two rows."""
+
+    def __init__(self, cone: ConeProgram, rows: int, dtype=_FLOAT):
+        self.tape, self.adj = np.empty((2, cone.circuit.num_nets, rows), dtype)
+        self.loss, self.square = np.empty((2, rows), dtype)
 
 
 def loss_and_grad(
-    cone: ConeProgram, U: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None
+    cone: ConeProgram, U: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample l2 loss over the program's pins and dL/dU, for cone rows U.
 
-    U is (cone inputs, b), input-major, and dL/dU comes back in that layout.
-    Gradients are chained through the sigmoid, and everything runs at U's
-    precision.  `buffers`, a (tape, adjoint) pair of (cone nets, >= b) arrays
-    of U's dtype, are handed to `forward` and `backward` as their `out`, and
-    the sigmoid writes into the tape's input rows; the returned arrays never
-    alias them, and U is not written.
+    U is (cone inputs, b), input-major, and dL/dU, a new array, comes back in
+    that layout, chained through the sigmoid at the precision of `workspace`
+    (else of one of U's dtype made for the call).  P is written into the
+    tape's input rows, and each pin's difference d into its adjoint row and
+    scaled there to the seed 2d.  The loss is the workspace's row, valid
+    until its next call.  U is not written.
     """
-    tape_buf, adj_buf = buffers or (None, None)
-    # The program's inputs are nets 0..k-1, so P can sit in the tape's leading
-    # rows; a buffer too small for them is left for `forward` to reject.
-    rows = None if tape_buf is None else tape_buf[: U.shape[0], : U.shape[1]]
-    P = _sigmoid(U, out=rows if rows is not None and rows.shape == U.shape else None)
-    tape = forward(cone.circuit, P.T, out=tape_buf)
-    diffs = {net: tape[net] - float(target) for net, target in cone.pins.items()}
-    loss = sum(d * d for d in diffs.values())
-    seeds = {net: 2.0 * d for net, d in diffs.items()}
-    dU = backward(cone.circuit, tape, seeds, out=adj_buf).T  # an input-major copy, ours to scale
+    k, b = len(cone.input_cols), U.shape[-1]
+    ws = Workspace(cone, b, U.dtype) if workspace is None else workspace
+    # The passes bind and keep only a workspace the caller holds, not one made for this call.
+    tape_out, adj_out = (None, None) if workspace is None else (ws.tape, ws.adj)
+    P, E, loss, square = ws.tape[:k, :b], ws.adj[:k, :b], ws.loss[:b], ws.square[:b]
+    if U.shape != P.shape:
+        raise CircuitError(f"tape buffer of shape {ws.tape.shape} cannot hold cone rows {U.shape}")
+    _sigmoid(U, P, E)
+    tape = forward(cone.circuit, P.T, out=tape_out)
+    seeds = {}
+    loss.fill(0.0)
+    for net, target in cone.pins.items():
+        d = seeds[net] = ws.adj[net, :b]
+        np.subtract(tape[net], float(target), out=d)
+        loss += np.multiply(d, d, out=square)
+        np.multiply(2.0, d, out=d)
+    dU = backward(cone.circuit, tape, seeds, out=adj_out).T  # an input-major copy, ours to scale
     dU *= P
-    dU *= np.subtract(1.0, P, out=P)  # P is ours and read no more: no temporary
+    dU *= np.subtract(1.0, P, out=P)  # P is read no more: no temporary
     return loss, dU
 
 
@@ -257,20 +274,20 @@ def harden(V: np.ndarray) -> np.ndarray:
 
 def _process_chunk(
     cone: ConeProgram, learning_rate: float, free_cols: list[int], key_cols: list[int] | slice,
-    pair: tuple[np.ndarray, np.ndarray], U: np.ndarray, free_bits: np.ndarray, met: np.ndarray,
+    workspace: Workspace, U: np.ndarray, free_bits: np.ndarray, met: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """One GD step on a chunk's input-major cone rows U (in place).
 
-    `pair` is the worker's (tape, adjoint) buffers, `free_bits` the chunk's
+    `workspace` is the worker's `Workspace`, `free_bits` the chunk's
     input-major don't-care bits and `key_cols` the columns of a row that form
     its dedup key.  `met` holds, per row, whether it met the pins after the
     last step; it is updated in place.  Returns (full rows that met the pins
     and may hold a key not yet looked up, the index of the first of these
     rows with each `_pack_keys` key, those keys in ascending order, loss sum,
-    rows that met the pins), none of which aliases a buffer.
+    rows that met the pins), none of which aliases the workspace.
     """
     before = U >= 0.0  # the cone bits the last step hardened
-    loss, grad = loss_and_grad(cone, U, pair)
+    loss, grad = loss_and_grad(cone, U, workspace)
     grad *= learning_rate
     U -= grad
     hard = harden(U.T)
@@ -283,9 +300,10 @@ def _process_chunk(
     new = ok & ~(met & np.all(hard.T == before, axis=0))
     met[:] = ok
     # Built input-major, where each input's bits are one contiguous row.
-    bits = np.empty((len(cone.input_cols) + len(free_cols), int(new.sum())), dtype=np.uint8)
-    bits[cone.input_cols] = hard.T[:, new]  # the cone bits as checked
-    bits[free_cols] = free_bits[:, new]  # the don't-care bits as drawn
+    idx = np.flatnonzero(new)
+    bits = np.empty((len(cone.input_cols) + len(free_cols), len(idx)), dtype=np.uint8)
+    bits[cone.input_cols] = hard.T.take(idx, axis=1)  # the cone bits as checked
+    bits[free_cols] = free_bits.take(idx, axis=1)  # the don't-care bits as drawn
     rows = bits.T
     # Each key's first row is the least row index among its repeats; sorted
     # here, the keys are looked up in the solution set as they come.
@@ -353,15 +371,14 @@ def _receive(conn) -> list:
 
 def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
     """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
-    # Kept per row, by the worker that owns it: V, the don't-care bits and
-    # whether the row met the pins.  Per worker: a float64 block of the draw,
-    # the tape and adjoint buffers and a few cone-sized temporaries.
+    # Kept per row, by the worker that owns it: V, the don't-care bits and whether the row met
+    # the pins.  Per worker: a float64 block of the draw and, in chunk rows, the workspace,
+    # the passes' scratch at two widths, the gradient and the step's bits.
     k, b = len(cone.input_cols), config.batch_size
-    rows = min(b, _CHUNK_ROWS)
-    size = np.dtype(_FLOAT).itemsize
-    pair = 2 * size * cone.circuit.num_nets * rows
+    rows, size = min(b, _CHUNK_ROWS), np.dtype(_FLOAT).itemsize
+    floats = 2 * cone.circuit.num_nets + 2 + 2 * (2 * cone.circuit.lowered().width + 1) + k
     draw = 8 * max(n, _DRAW_VALUES)
-    need = b * (size * n + n - k + 1) + workers * (draw + pair + rows * size * 6 * k)
+    need = b * (size * n + n - k + 1) + workers * (draw + rows * (size * floats + 3 * k))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
@@ -403,14 +420,13 @@ def run_sampling(
     workers = min(config.threads or cpus, cpus, len(starts))
     _check_memory(config, cone, circuit.num_inputs, workers)
     free_cols = sorted(set(range(circuit.num_inputs)) - set(cone.input_cols))
-    shape = (cone.circuit.num_nets, min(config.batch_size, _CHUNK_ROWS))  # cone nets x chunk rows
 
     def worker_run(w: int):
         """Worker w draws chunks w, w + workers, ... and steps them with its
-        own (tape, adjoint) pair; yields each iteration's per-chunk results."""
+        own workspace; yields each iteration's per-chunk results."""
         chunks = _own_chunks(config, cone, free_cols, starts[w::workers])
         step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, key_cols,
-                                 (np.empty(shape, _FLOAT), np.empty(shape, _FLOAT)))
+                                 Workspace(cone, min(config.batch_size, _CHUNK_ROWS)))
         for _ in range(config.iterations):
             yield [step(*chunk) for chunk in chunks]
 

@@ -11,6 +11,7 @@ from circsat import (
     GateKind,
     SamplerConfig,
     forward,
+    parse_verilog,
     run_sampling,
     tseytin_encode,
     write_dimacs,
@@ -139,6 +140,19 @@ def test_one_gate_evaluators_agree(kind, fan_in):
     assert [kind.truth(row) for row in points] == reference
     assert c.eval_batch(points)[:, 0].tolist() == reference
     assert forward(c, points.astype(float))[fan_in].tolist() == reference
+
+
+def test_undriven_net_reads_zero_in_every_evaluator():
+    # `w` is declared and read by nothing: valid, and neither an input nor driven.
+    c = parse_verilog("module m(a, b, y); input a, b; output y; wire w; and g(y, a, b); endmodule")
+    assert c.validate() == []
+    w = c.name_to_id["w"]
+    points = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.uint8)
+    assert c.eval_batch(points, nets=[w]).tolist() == [[0]] * 4
+    assert forward(c, points.astype(float))[w].tolist() == [0.0] * 4
+    every = {tuple(p) for p in points.tolist()}
+    assert cnf_input_projections(c, tseytin_encode(c, ConstraintSet({w: 0}))) == every
+    assert cnf_input_projections(c, tseytin_encode(c, ConstraintSet({w: 1}))) == set()
 
 
 class TestWriteDimacs:

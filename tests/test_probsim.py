@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -363,3 +365,84 @@ class TestForwardInputRows:
         inputs = buf.reshape(-1)[: b * k].reshape(b, k)
         inputs[...] = P
         assert np.array_equal(forward(cone, inputs, out=buf), want)
+
+
+def _with_constants_and_a_floating_net(seed: int) -> tuple[Circuit, dict[int, int]]:
+    """`_lowering_case` plus constants, gates that read them, a net that
+    nothing drives or reads, and pins on an input and on a constant's reader."""
+    c, pins = _lowering_case(seed)
+    rng = np.random.default_rng(seed + 2)
+    names, gates, n = list(c.names), list(c.gates), c.num_nets
+    x = int(rng.integers(n))
+    names += ["k0", "k1", "and_k1", "or_k0", "nand_k0", "floating"]
+    gates += [Gate(GateKind.CONST0, (), n), Gate(GateKind.CONST1, (), n + 1),
+              Gate(GateKind.AND, (n + 1, x), n + 2), Gate(GateKind.OR, (x, n), n + 3),
+              Gate(GateKind.NAND, (n, x, x), n + 4)]
+    out = Circuit(names, c.primary_inputs, c.primary_outputs + [n + 2, n + 3, n + 4], gates)
+    pins = {**pins, c.primary_inputs[0]: 1, n + 2: 0}
+    return out, pins
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+       b=st.integers(2, 12))
+def test_bound_passes_equal_the_reference_with_constants_floating_nets_and_short_chunks(seed, dtype, b):
+    # Full-width buffers, then a short last chunk in their leading columns,
+    # then full width again: each width runs its own bound lists.
+    c, pins = _with_constants_and_a_floating_net(seed)
+    assert c.lowered().undriven == [c.name_to_id["floating"]]
+    rng = np.random.default_rng(seed + 3)
+    tape_buf = np.full((c.num_nets, b), np.nan, dtype)
+    adj_buf = np.full_like(tape_buf, np.nan)
+    for width in (b, b - 1, b, 1):
+        P = rng.uniform(0.0, 1.0, size=(width, c.num_inputs)).astype(dtype)
+        seeds = {net: rng.normal(size=width) for net in pins}
+        want_tape = reference_forward(c, P)
+        want_grad = reference_backward(c, want_tape, seeds)
+        for out, adj in ((tape_buf, adj_buf), (None, None)):
+            tape = forward(c, P, out=out)
+            assert tape.dtype == dtype and tape.tobytes() == want_tape.tobytes()
+            grad = backward(c, tape, seeds, out=adj)
+            assert grad.dtype == dtype and np.array_equal(grad, want_grad)
+    assert np.all(tape[c.name_to_id["floating"]] == 0.0)
+
+
+def test_a_new_buffer_of_the_same_width_gets_its_own_bound_list():
+    # Each call writes into its own buffer, also when the buffer is a view
+    # that is freed after the call, so that the next view may take its
+    # address, and when more buffers are used than are kept bound.
+    c = load("c17.bench")
+    rng = np.random.default_rng(8)
+    b, calls = 6, 7
+    probs = [rng.uniform(0, 1, size=(b, c.num_inputs)) for _ in range(calls)]
+    tapes = np.full((c.num_nets, calls * b), np.nan)
+    for i, P in enumerate(probs):
+        forward(c, P, out=tapes[:, i * b : (i + 1) * b])
+    grads = np.full((calls, b, c.num_inputs), np.nan)
+    adjoints = np.full((c.num_nets, calls * b), np.nan)
+    seeds = {c.primary_outputs[0]: np.ones(b)}
+    for i in range(calls):
+        tape = tapes[:, i * b : (i + 1) * b]
+        grads[i] = backward(c, tape, seeds, out=adjoints[:, i * b : (i + 1) * b])
+    for i, P in enumerate(probs):
+        want = reference_forward(c, P)
+        assert np.array_equal(tapes[:, i * b : (i + 1) * b], want)
+        assert np.array_equal(grads[i], reference_backward(c, want, seeds))
+
+
+def test_bound_lists_are_freed_with_their_circuit_without_the_cyclic_collector():
+    # The lists hold views of the buffers and nothing that refers back to the
+    # circuit, so reference counting frees them, and the buffers, with it.
+    c = load("c17.bench")
+    cone = c.compile(ConstraintSet.from_names(c, {"23": 1})).circuit
+    b = 8
+    tape_buf, adj_buf = np.empty((cone.num_nets, b)), np.empty((cone.num_nets, b))
+    tape = forward(cone, np.full((b, cone.num_inputs), 0.5), out=tape_buf)
+    backward(cone, tape, {cone.primary_outputs[0]: np.ones(b)}, out=adj_buf)
+    refs = [weakref.ref(x) for x in (cone, tape_buf, adj_buf)]
+    gc.disable()
+    try:
+        del cone, tape, tape_buf, adj_buf
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()

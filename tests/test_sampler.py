@@ -4,6 +4,7 @@ import multiprocessing.connection
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -24,7 +25,7 @@ from circsat import (
     loss_and_grad,
     run_sampling,
 )
-from circsat import backward, forward, sampler
+from circsat import backward, forward, probsim, sampler
 from circsat.sampler import SolutionSet, _sigmoid
 
 from helpers import (
@@ -131,6 +132,62 @@ class TestInitEmbeddings:
 
 
 class TestLossAndGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_workspace_gives_the_results_of_a_throwaway_one(self, dtype):
+        # Chunks of full and short width, in turn, on one workspace; the
+        # program pins an input and a net that feeds another pin.
+        c = load("c17.bench")
+        cone = c.compile(ConstraintSet.from_names(c, {"23": 1, "19": 0, "22": 0, "7": 1}))
+        assert len(cone.pins) == 4 and len(cone.input_cols) == 5
+        rng = np.random.default_rng(4)
+        workspace = sampler.Workspace(cone, 16, dtype)
+        for b in (16, 5, 16, 5):
+            U = rng.uniform(-3, 3, size=(5, b)).astype(dtype)
+            kept = U.copy()
+            want_loss, want_grad = loss_and_grad(cone, U)
+            loss, grad = loss_and_grad(cone, U, workspace)
+            assert loss.dtype == grad.dtype == dtype
+            assert loss.tobytes() == want_loss.tobytes() and grad.tobytes() == want_grad.tobytes()
+            assert np.array_equal(U, kept)
+            assert not np.shares_memory(grad, workspace.tape) and not np.shares_memory(grad, workspace.adj)
+
+    @pytest.mark.parametrize("fewer_inputs, columns", [(1, 4), (0, 10)])
+    def test_cone_rows_the_workspace_cannot_hold_are_rejected(self, fewer_inputs, columns):
+        c = load("c17.bench")
+        cone = c.compile(ConstraintSet.from_names(c, {"23": 1}))
+        U = np.zeros((len(cone.input_cols) - fewer_inputs, columns))
+        with pytest.raises(CircuitError, match="cannot hold cone rows"):
+            loss_and_grad(cone, U, sampler.Workspace(cone, 4, np.float64))
+
+    def test_a_workspace_made_for_the_call_is_not_kept(self):
+        # Without a workspace the passes get no `out`, so probsim binds no
+        # list to the buffers made for the call and keeps none of them.
+        c = load("c17.bench")
+        cone = c.compile(ConstraintSet.from_names(c, {"23": 1, "22": 0}))
+        loss_and_grad(cone, np.zeros((len(cone.input_cols), 8)))
+        assert not probsim._BOUND.get(cone.circuit)
+        loss_and_grad(cone, np.zeros((len(cone.input_cols), 8), np.float32), sampler.Workspace(cone, 8))
+        assert len(probsim._BOUND[cone.circuit]) == 2
+
+    def test_a_step_on_a_workspace_allocates_only_the_gradient(self):
+        # After a warm-up call has bound its lists, a call on the same
+        # workspace makes no chunk-sized temporary besides the dL/dU it returns.
+        rng = np.random.default_rng(3)
+        c = random_circuit(rng, n_inputs=24, n_gates=150)
+        cone = c.compile(ConstraintSet({net: 1 for net in c.primary_outputs[:6]}))
+        b = 8192
+        U = rng.uniform(-1, 1, size=(len(cone.input_cols), b)).astype(np.float32)
+        workspace = sampler.Workspace(cone, b)
+        loss_and_grad(cone, U, workspace)
+        tracemalloc.start()
+        try:
+            _, grad = loss_and_grad(cone, U, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cone.input_cols) >= 10 and cone.circuit.num_nets >= 30
+        assert peak <= grad.nbytes + 64 * 1024, (peak, grad.nbytes)
+
     def test_worked_example(self):
         c, cs = c15_with_pin()
         V, cols = worked_example_embedding(c)
@@ -882,9 +939,9 @@ class TestHarvestOnlyChangedRows:
         free_bits = rng.integers(0, 2, size=(len(free_cols), b), dtype=np.uint8)
         drawn = free_bits.copy()
         met = np.full(b, met_before)
-        pair = (np.empty((cone.circuit.num_nets, b)), np.empty((cone.circuit.num_nets, b)))
+        workspace = sampler.Workspace(cone, b, np.float64)
         rows, first, keys, _, satisfied = sampler._process_chunk(
-            cone, 2.0, free_cols, cone.input_cols, pair, U, free_bits, met)
+            cone, 2.0, free_cols, cone.input_cols, workspace, U, free_bits, met)
         want = list(cone.pins.values())
         hard = harden(U.T)
         ok = np.all(cone.circuit.eval_batch(hard, nets=list(cone.pins)) == want, axis=1)
@@ -1003,11 +1060,12 @@ def test_sampled_rows_are_verified_distinct_brute_force_solutions(circuit_seed, 
 def test_buffers_too_small_for_the_chunk_are_rejected_by_forward():
     c = load("c17.bench")
     cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
-    cone = c.compile(cs)
-    nets = cone.circuit.num_nets
-    U = np.zeros((len(cone.input_cols), 10))
+    cone = c.compile(cs).circuit
     with pytest.raises(CircuitError, match="tape buffer of shape"):
-        loss_and_grad(cone, U, (np.empty((nets, 4)), np.empty((nets, 4))))
+        forward(cone, np.zeros((10, cone.num_inputs)), out=np.empty((cone.num_nets, 4)))
+    tape = forward(cone, np.zeros((10, cone.num_inputs)))
+    with pytest.raises(CircuitError, match="adjoint buffer of shape"):
+        backward(cone, tape, {cone.primary_outputs[0]: np.ones(10)}, out=np.empty((cone.num_nets, 4)))
 
 
 class TestSolutionRows:
