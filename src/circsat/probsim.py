@@ -10,17 +10,14 @@ input is the product of the other inputs' factors, negated when the gate
 inverts its reduction.
 
 `forward` returns the tape, one row per net; `backward` carries seed
-gradients on pinned nets down to the inputs.  Each pass lowers the gates to
-a flat list of `(ufunc, args)` calls on fixed rows of one buffer at one
-width, every write, add and zeroed row decided then, and runs it as `for f,
-args in ops: f(*args)`.  Lists bound to an `out` buffer are kept per circuit
-and hold it; without `out` a pass lowers onto new buffers.  Values are exact
-at binary input points, and the passes run at the precision of `out`, else
-of the input promoted to at least float32.
+gradients on pinned nets down to the inputs.  Both run on a `Workspace` of
+buffers, made for the call if none is given, which keeps each pass lowered
+to a flat list of `(ufunc, args)` calls on fixed rows of its buffers at one
+width, every write, add and zeroed row decided then, and run as `for f, args
+in ops: f(*args)`.  Values are exact at binary input points, and the passes
+run at the workspace's precision.
 """
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -34,21 +31,28 @@ _RELAXED = {
     "xor": ((0.5, -0.5), (0.5, 0.5)),
 }
 
-# circuit -> {key: (the arrays whose ids the key holds, which no other array can then take,
-# bound lists)}; at most four, as a sampler worker runs each pass at two chunk widths.
-_BOUND: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+class Workspace:
+    """A circuit's buffers for the relaxed passes, and the op lists bound to them.
 
-def _bound(circuit: Circuit, held: tuple, extra, lower, *args):
-    """`lower(*args)`, kept per the ids of `held` and per `extra`; not kept if held[0] is None."""
-    if held[0] is None:
-        return lower(*args)
-    key, entries = (lower, *map(id, held), *extra), _BOUND.setdefault(circuit, {})
-    if key not in entries:
-        if len(entries) >= 4:
-            entries.clear()
-        entries[key] = (held, lower(*args))
-    return entries[key][1]
+    `tape` and `adj` are (num_nets, rows), `scratch` (widest fan-in + 1, rows); a pass over
+    b <= rows rows uses their leading b columns.  `last_tape`, the only tape `backward` takes,
+    is the one `forward` returned last, or a `tape` given to hold in place of a new one.
+    """
+
+    def __init__(self, circuit: Circuit, rows: int, dtype=np.float32, tape: np.ndarray | None = None):
+        self.circuit, self.lists, self.last_tape = circuit, {}, tape
+        self.tape = np.empty((circuit.num_nets, rows), dtype) if tape is None else tape
+        self.adj = np.empty_like(self.tape)
+        self.scratch = np.empty((circuit.lowered().width + 1, rows), self.tape.dtype)
+
+    def _bound(self, circuit: Circuit, key, lower, *args):
+        """The lists kept under `key`, made by `lower(self, *args)` on first use."""
+        if circuit is not self.circuit:
+            raise CircuitError("the workspace was made for another circuit")
+        if key not in self.lists:
+            self.lists[key] = lower(self, *args)
+        return self.lists[key]
 
 
 def _lower_factors(op: str, tape: np.ndarray, inputs: tuple[int, ...], scratch: np.ndarray,
@@ -70,16 +74,15 @@ def _lower_product(rows: list[np.ndarray], out: np.ndarray, ops: list) -> np.nda
     return out
 
 
-def _lower_forward(circuit: Circuit, out: np.ndarray | None, b: int, dtype: np.dtype):
-    """(tape, index of its input rows, ops) of a b-column tape."""
-    values = np.empty((circuit.num_nets, b), dtype) if out is None else out[:, :b]
-    if values.shape != (circuit.num_nets, b):
-        raise CircuitError(f"tape buffer of shape {out.shape} cannot hold {circuit.num_nets} x {b}")
+def _lower_forward(ws: Workspace, b: int):
+    """(tape, index of its input rows, ops) on the workspace's leading b columns."""
+    if b > ws.tape.shape[1]:
+        raise CircuitError(f"workspace of {ws.tape.shape[1]} rows cannot hold {b}")
+    circuit, values, scratch = ws.circuit, ws.tape[:, :b], ws.scratch[:, :b]
     low = circuit.lowered()
     t = values.dtype.type
     # A slice of leading input rows skips the copy of probabilities already there.
     input_rows = slice(0, circuit.num_inputs) if low.leading_inputs else circuit.primary_inputs
-    scratch = np.empty((low.width, b), values.dtype)
     # A net that is neither an input nor driven by a gate reads 0, as in a new array.
     ops = [(values[n].fill, (0,)) for n in low.undriven]
     for reduction, inverted, inputs, output in low.gates:
@@ -98,43 +101,40 @@ def _lower_forward(circuit: Circuit, out: np.ndarray | None, b: int, dtype: np.d
     return values, input_rows, ops
 
 
-def forward(circuit: Circuit, input_probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def forward(circuit: Circuit, input_probs: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """Relaxed evaluation of every net for a (b, n) input probability matrix.
 
     Returns the (num_nets, b) tape: row `net` is that net's probability row.
-    With `out`, a (num_nets, >= b) buffer, the tape is that buffer's leading
-    b columns, the same view on every call at that width; the lists bound to
-    it hold `out` until the circuit goes or four newer bindings replace them.
-    The tape has `out`'s dtype, else the input's promoted to at least
+    On a `workspace` of at least b rows the tape is its `tape`'s leading b
+    columns, the same view on every call at that width, in its dtype;
+    without one it is new, in the input's dtype promoted to at least
     float32.  Input probabilities that already are the tape's input rows
     (same data and strides) are not copied.
     """
     input_probs = np.asarray(input_probs)
-    dtype = np.result_type(input_probs, np.float32) if out is None else out.dtype
     if input_probs.ndim != 2 or input_probs.shape[1] != circuit.num_inputs:
         raise CircuitError(
             f"expected input probabilities of shape (b, {circuit.num_inputs}), "
             f"got {input_probs.shape}"
         )
     b = input_probs.shape[0]
-    values, input_rows, ops = _bound(circuit, (out,), (b,), _lower_forward, circuit, out, b, dtype)
+    ws = Workspace(circuit, b, np.result_type(input_probs, np.float32)) if workspace is None else workspace
+    values, input_rows, ops = ws._bound(circuit, b, _lower_forward, b)
     values[input_rows] = input_probs.T
     for f, args in ops:
         f(*args)
+    ws.last_tape = values
     return values
 
 
-def _lower_backward(circuit: Circuit, tape: np.ndarray, seeded: tuple[int, ...],
-                    out: np.ndarray | None):
-    """(adjoint, seed rows, ops) for a tape and the nets that get seeds."""
-    adj = np.empty_like(tape) if out is None else out[:, : tape.shape[1]]
-    if adj.shape != tape.shape:
-        raise CircuitError(f"adjoint buffer of shape {out.shape} cannot hold {tape.shape}")
+def _lower_backward(ws: Workspace, tape: np.ndarray, seeded: tuple[int, ...]):
+    """(adjoint, seed rows, ops) for a tape of the workspace and the nets that get seeds."""
+    circuit, b = ws.circuit, tape.shape[1]
     if bad := [net for net in seeded if not 0 <= net < circuit.num_nets]:
         raise CircuitError(f"pinned net id {bad[0]} not in circuit")
+    adj, scratch = ws.adj[:, :b], ws.scratch[:, :b]
     written = [net in seeded for net in range(circuit.num_nets)]
     low = circuit.lowered()
-    scratch = np.empty((low.width + 1, tape.shape[1]), adj.dtype)
     other = scratch[low.width]  # a later contribution, before it is added
     ops = []
     for reduction, inverted, inputs, output in reversed(low.gates):
@@ -158,21 +158,21 @@ def _lower_backward(circuit: Circuit, tape: np.ndarray, seeded: tuple[int, ...],
 
 
 def backward(
-    circuit: Circuit, tape: np.ndarray, seeds: dict[int, np.ndarray], out: np.ndarray | None = None
+    circuit: Circuit, tape: np.ndarray, seeds: dict[int, np.ndarray], workspace: Workspace | None = None
 ) -> np.ndarray:
     """Accumulate seed gradients on pinned nets down to input probabilities.
 
-    `tape` is the (num_nets, b) array of `forward`, and `seeds` maps net id
-    -> (b,) dL/d(p_net), which may already be its net's row of `out`.
+    `tape` is the (num_nets, b) array that `forward` last returned on
+    `workspace` (else on none), and `seeds` maps net id -> (b,) dL/d(p_net),
+    which may already be its net's adjoint row; they take the tape's dtype.
     Returns dL/dP of shape (b, n), the transpose of a copy of the adjoint's
     input rows; inputs outside the fan-in of every seeded net get exactly 0,
     and the result equals accumulating into zeros up to the sign of a zero.
-    With `out`, a (num_nets, >= b) buffer, the adjoint is accumulated in its
-    leading b columns, and `out` and the tape are held as in `forward`.  The
-    adjoint has `out`'s dtype, else the tape's, and the seeds are cast to it.
     """
-    adj, seed_rows, ops = _bound(circuit, (out, tape), seeds, _lower_backward,
-                                 circuit, tape, tuple(seeds), out)
+    ws = Workspace(circuit, tape.shape[1], tape.dtype, tape) if workspace is None else workspace
+    if tape is not ws.last_tape:
+        raise CircuitError("the tape is not the one that forward last returned on this workspace")
+    adj, seed_rows, ops = ws._bound(circuit, (tape.shape[1], *seeds), _lower_backward, tape, tuple(seeds))
     for row, seed in zip(seed_rows, seeds.values()):
         np.copyto(row, seed, casting="unsafe")
     for f, args in ops:

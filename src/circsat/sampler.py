@@ -39,7 +39,6 @@ the exact Boolean oracle.
 from __future__ import annotations
 
 import functools
-import math
 import multiprocessing
 import numbers
 import os
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, CircuitError, ConeProgram, ConstraintSet
+from . import probsim
 from .probsim import backward, forward
 
 # A fixed split, so the worker count never changes results; a chunk is also
@@ -69,7 +69,7 @@ _FLOAT = np.float32
 # and its transposed copy into V stays in the cache.
 _DRAW_VALUES = 2**15
 
-_MAX_INIT_RANGE = float(np.finfo(_FLOAT).max)  # a larger draw would turn V into +-inf
+_MAX_FLOAT = float(np.finfo(_FLOAT).max)  # a larger draw or rate would overflow V or the step
 
 DEDUP_CONE = "cone"
 DEDUP_ALL = "all"
@@ -96,12 +96,14 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        if not 0 < self.learning_rate <= _MAX_FLOAT:
+            raise ValueError(f"learning_rate must be positive and finite, at most {_MAX_FLOAT:g}")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if not 0 < self.init_range <= _MAX_INIT_RANGE:
-            raise ValueError(f"init_range must be positive and finite, at most {_MAX_INIT_RANGE:g}")
+        if not 0 < self.init_range <= _MAX_FLOAT:
+            raise ValueError(f"init_range must be positive and finite, at most {_MAX_FLOAT:g}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.threads < 0:
             raise ValueError("threads must be 0 (one per CPU) or positive")
         if self.dedup_scope not in (DEDUP_CONE, DEDUP_ALL):
@@ -201,7 +203,7 @@ def init_embeddings(
     """
     a, n = config.init_range, num_inputs
     hi = config.batch_size if hi is None else min(hi, config.batch_size)
-    stream = np.random.Philox(key=config.seed & (2**64 - 1))
+    stream = np.random.Philox(key=config.seed)
     stream.advance(lo * n // 4)
     rng = np.random.Generator(stream)
     rng.random(lo * n % 4)
@@ -212,11 +214,10 @@ def init_embeddings(
     return V
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, e: np.ndarray | None = None):
-    # exp of a non-positive number never overflows; equal bit for bit to
-    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.  As e <= 1, the
+def _sigmoid(x: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # Into `out`, with `e` as scratch; exp of a non-positive number never overflows.  Equal bit
+    # for bit to 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.  As e <= 1, the
     # numerator max(e, x >= 0) is 1 for x >= 0 and e below, without a branch.
-    out = np.empty_like(x) if out is None else out
     e = np.abs(x, out=e)
     np.negative(e, out=e)  # -|x|
     np.exp(e, out=e)
@@ -225,11 +226,11 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, e: np.ndarray | None 
     return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
-class Workspace:
-    """A worker's buffers for `loss_and_grad`: (cone nets, rows) `tape` and `adj`, two rows."""
+class Workspace(probsim.Workspace):
+    """A worker's buffers for `loss_and_grad`: probsim's for the cone program, and two rows."""
 
     def __init__(self, cone: ConeProgram, rows: int, dtype=_FLOAT):
-        self.tape, self.adj = np.empty((2, cone.circuit.num_nets, rows), dtype)
+        super().__init__(cone.circuit, rows, dtype)
         self.loss, self.square = np.empty((2, rows), dtype)
 
 
@@ -240,20 +241,18 @@ def loss_and_grad(
 
     U is (cone inputs, b), input-major, and dL/dU, a new array, comes back in
     that layout, chained through the sigmoid at the precision of `workspace`
-    (else of one of U's dtype made for the call).  P is written into the
-    tape's input rows, and each pin's difference d into its adjoint row and
-    scaled there to the seed 2d.  The loss is the workspace's row, valid
-    until its next call.  U is not written.
+    (else of one of U's dtype made for the call), on which both passes run.
+    P is written into the tape's input rows, and each pin's difference d into
+    its adjoint row and scaled there to the seed 2d.  The loss is the
+    workspace's row, valid until its next call.  U is not written.
     """
     k, b = len(cone.input_cols), U.shape[-1]
     ws = Workspace(cone, b, U.dtype) if workspace is None else workspace
-    # The passes bind and keep only a workspace the caller holds, not one made for this call.
-    tape_out, adj_out = (None, None) if workspace is None else (ws.tape, ws.adj)
     P, E, loss, square = ws.tape[:k, :b], ws.adj[:k, :b], ws.loss[:b], ws.square[:b]
     if U.shape != P.shape:
         raise CircuitError(f"tape buffer of shape {ws.tape.shape} cannot hold cone rows {U.shape}")
     _sigmoid(U, P, E)
-    tape = forward(cone.circuit, P.T, out=tape_out)
+    tape = forward(cone.circuit, P.T, workspace=ws)
     seeds = {}
     loss.fill(0.0)
     for net, target in cone.pins.items():
@@ -261,7 +260,7 @@ def loss_and_grad(
         np.subtract(tape[net], float(target), out=d)
         loss += np.multiply(d, d, out=square)
         np.multiply(2.0, d, out=d)
-    dU = backward(cone.circuit, tape, seeds, out=adj_out).T  # an input-major copy, ours to scale
+    dU = backward(cone.circuit, tape, seeds, workspace=ws).T  # an input-major copy, ours to scale
     dU *= P
     dU *= np.subtract(1.0, P, out=P)  # P is read no more: no temporary
     return loss, dU
@@ -372,11 +371,11 @@ def _receive(conn) -> list:
 def _check_memory(config: SamplerConfig, cone: ConeProgram, n: int, workers: int) -> int:
     """Estimated peak bytes; refuse a batch whose estimate exceeds physical memory."""
     # Kept per row, by the worker that owns it: V, the don't-care bits and whether the row met
-    # the pins.  Per worker: a float64 block of the draw and, in chunk rows, the workspace,
-    # the passes' scratch at two widths, the gradient and the step's bits.
+    # the pins.  Per worker: a float64 block of the draw and, in chunk rows, the workspace
+    # (tape, adjoint, scratch block, two rows), the gradient and the step's bits.
     k, b = len(cone.input_cols), config.batch_size
     rows, size = min(b, _CHUNK_ROWS), np.dtype(_FLOAT).itemsize
-    floats = 2 * cone.circuit.num_nets + 2 + 2 * (2 * cone.circuit.lowered().width + 1) + k
+    floats = 2 * cone.circuit.num_nets + cone.circuit.lowered().width + 1 + 2 + k
     draw = 8 * max(n, _DRAW_VALUES)
     need = b * (size * n + n - k + 1) + workers * (draw + rows * (size * floats + 3 * k))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

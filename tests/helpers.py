@@ -23,6 +23,7 @@ from circsat import (
     harden,
     parse_file,
 )
+from circsat.probsim import Workspace
 from circsat.sampler import _pack_keys
 
 DATA = Path(__file__).parent / "data"
@@ -277,6 +278,14 @@ def fd_input_grads(
             scalar_loss(circuit, up, constraints) - scalar_loss(circuit, down, constraints)
         ) / (2 * step)
     return grads
+
+
+def nan_workspace(circuit: Circuit, rows: int, dtype=np.float64) -> Workspace:
+    """A workspace for the relaxed passes whose buffers all hold NaN."""
+    ws = Workspace(circuit, rows, dtype)
+    for buf in (ws.tape, ws.adj, ws.scratch):
+        buf.fill(np.nan)
+    return ws
 
 
 def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:

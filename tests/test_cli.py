@@ -152,11 +152,19 @@ class TestSample:
         assert "threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--init-range", "inf"), ("--init-range", "1e39")]
+        "flag,value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--lr", "1e39"), ("--init-range", "inf"), ("--init-range", "1e39")],
     )
     def test_non_finite_lr_or_init_range_is_input_error(self, c17, capsys, flag, value):
         assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{flag: value})) == 2
         assert "must be positive and finite" in capsys.readouterr().err
+        assert not (c17 / "solutions.txt").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_input_error(self, c17, capsys, seed):
+        # -1 and 2**64 - 1 once drew the same stream.
+        assert run(*sample_args(c17, "c17.bench", "pin2.txt", **{"--seed": seed})) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not (c17 / "solutions.txt").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--stats"])

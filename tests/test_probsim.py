@@ -16,11 +16,13 @@ from circsat import (
     backward,
     forward,
 )
+from circsat.probsim import Workspace
 
 from helpers import (
     fd_input_grads,
     load,
     naive_eval,
+    nan_workspace,
     one_gate,
     random_circuit,
     reference_backward,
@@ -316,13 +318,12 @@ def _check_lowered_passes(seed, probs, b, dtype):
     want_tape = reference_forward(c, P)
     want_grad = reference_backward(c, want_tape, seeds)
     assert want_tape.dtype == want_grad.dtype == dtype
-    # New arrays, and buffers wider than the batch and full of NaN.
-    for out in (None, np.full((c.num_nets, b + 3), np.nan, dtype)):
-        tape = forward(c, P, out=out)
+    # A workspace made for each call, and one wider than the batch and full of NaN.
+    for ws in (None, nan_workspace(c, b + 3, dtype)):
+        tape = forward(c, P, ws)
         assert tape.dtype == dtype
         assert np.array_equal(tape, want_tape)
-        adj = None if out is None else np.full_like(out, np.nan)
-        grad = backward(c, tape, seeds, out=adj)
+        grad = backward(c, tape, seeds, ws)
         assert grad.dtype == dtype
         assert np.array_equal(grad, want_grad)
     # "lonely" feeds nothing, so no seeded fan-in holds it.
@@ -348,23 +349,23 @@ class TestForwardInputRows:
     def test_probabilities_already_in_the_leading_input_rows_are_used_in_place(self):
         cone, P, want = self._case()
         k, b = P.shape[1], P.shape[0]
-        buf = np.full((cone.num_nets, b + 2), np.nan)
-        buf[:k, :b] = P.T
-        tape = forward(cone, buf[:k, :b].T, out=buf)
+        ws = nan_workspace(cone, b + 2)
+        ws.tape[:k, :b] = P.T
+        tape = forward(cone, ws.tape[:k, :b].T, ws)
         assert np.array_equal(tape, want)
 
     def test_probabilities_elsewhere_in_the_buffer_are_copied(self):
         cone, P, want = self._case()
         k, b = P.shape[1], P.shape[0]
         # The input rows one row down: they overlap the tape's input rows.
-        buf = np.full((cone.num_nets, b), np.nan)
-        buf[1 : k + 1] = P.T
-        assert np.array_equal(forward(cone, buf[1 : k + 1].T, out=buf), want)
+        ws = nan_workspace(cone, b)
+        ws.tape[1 : k + 1] = P.T
+        assert np.array_equal(forward(cone, ws.tape[1 : k + 1].T, ws), want)
         # Same first element as the tape's input rows but laid out row-major.
-        buf = np.full((cone.num_nets, b), np.nan)
-        inputs = buf.reshape(-1)[: b * k].reshape(b, k)
+        ws = nan_workspace(cone, b)
+        inputs = ws.tape.reshape(-1)[: b * k].reshape(b, k)
         inputs[...] = P
-        assert np.array_equal(forward(cone, inputs, out=buf), want)
+        assert np.array_equal(forward(cone, inputs, ws), want)
 
 
 def _with_constants_and_a_floating_net(seed: int) -> tuple[Circuit, dict[int, int]]:
@@ -387,62 +388,40 @@ def _with_constants_and_a_floating_net(seed: int) -> tuple[Circuit, dict[int, in
 @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
        b=st.integers(2, 12))
 def test_bound_passes_equal_the_reference_with_constants_floating_nets_and_short_chunks(seed, dtype, b):
-    # Full-width buffers, then a short last chunk in their leading columns,
+    # A full-width workspace, then a short last chunk in its leading columns,
     # then full width again: each width runs its own bound lists.
     c, pins = _with_constants_and_a_floating_net(seed)
     assert c.lowered().undriven == [c.name_to_id["floating"]]
     rng = np.random.default_rng(seed + 3)
-    tape_buf = np.full((c.num_nets, b), np.nan, dtype)
-    adj_buf = np.full_like(tape_buf, np.nan)
+    kept = nan_workspace(c, b, dtype)
     for width in (b, b - 1, b, 1):
         P = rng.uniform(0.0, 1.0, size=(width, c.num_inputs)).astype(dtype)
         seeds = {net: rng.normal(size=width) for net in pins}
         want_tape = reference_forward(c, P)
         want_grad = reference_backward(c, want_tape, seeds)
-        for out, adj in ((tape_buf, adj_buf), (None, None)):
-            tape = forward(c, P, out=out)
+        for ws in (kept, None):
+            tape = forward(c, P, ws)
             assert tape.dtype == dtype and tape.tobytes() == want_tape.tobytes()
-            grad = backward(c, tape, seeds, out=adj)
+            grad = backward(c, tape, seeds, ws)
             assert grad.dtype == dtype and np.array_equal(grad, want_grad)
     assert np.all(tape[c.name_to_id["floating"]] == 0.0)
 
 
-def test_a_new_buffer_of_the_same_width_gets_its_own_bound_list():
-    # Each call writes into its own buffer, also when the buffer is a view
-    # that is freed after the call, so that the next view may take its
-    # address, and when more buffers are used than are kept bound.
-    c = load("c17.bench")
-    rng = np.random.default_rng(8)
-    b, calls = 6, 7
-    probs = [rng.uniform(0, 1, size=(b, c.num_inputs)) for _ in range(calls)]
-    tapes = np.full((c.num_nets, calls * b), np.nan)
-    for i, P in enumerate(probs):
-        forward(c, P, out=tapes[:, i * b : (i + 1) * b])
-    grads = np.full((calls, b, c.num_inputs), np.nan)
-    adjoints = np.full((c.num_nets, calls * b), np.nan)
-    seeds = {c.primary_outputs[0]: np.ones(b)}
-    for i in range(calls):
-        tape = tapes[:, i * b : (i + 1) * b]
-        grads[i] = backward(c, tape, seeds, out=adjoints[:, i * b : (i + 1) * b])
-    for i, P in enumerate(probs):
-        want = reference_forward(c, P)
-        assert np.array_equal(tapes[:, i * b : (i + 1) * b], want)
-        assert np.array_equal(grads[i], reference_backward(c, want, seeds))
-
-
-def test_bound_lists_are_freed_with_their_circuit_without_the_cyclic_collector():
+def test_a_dropped_workspace_is_freed_with_its_lists_and_buffers_without_the_cyclic_collector():
     # The lists hold views of the buffers and nothing that refers back to the
-    # circuit, so reference counting frees them, and the buffers, with it.
+    # workspace, so reference counting frees them, and the buffers, with it.
     c = load("c17.bench")
     cone = c.compile(ConstraintSet.from_names(c, {"23": 1})).circuit
     b = 8
-    tape_buf, adj_buf = np.empty((cone.num_nets, b)), np.empty((cone.num_nets, b))
-    tape = forward(cone, np.full((b, cone.num_inputs), 0.5), out=tape_buf)
-    backward(cone, tape, {cone.primary_outputs[0]: np.ones(b)}, out=adj_buf)
-    refs = [weakref.ref(x) for x in (cone, tape_buf, adj_buf)]
+    ws = Workspace(cone, b, np.float64)
+    tape = forward(cone, np.full((b, cone.num_inputs), 0.5), ws)
+    backward(cone, tape, {cone.primary_outputs[0]: np.ones(b)}, ws)
+    assert len(ws.lists) == 2
+    bound_tape, bound_adj = (entry[0] for entry in ws.lists.values())
+    refs = [weakref.ref(x) for x in (ws, ws.tape, ws.adj, ws.scratch, bound_tape, bound_adj)]
     gc.disable()
     try:
-        del cone, tape, tape_buf, adj_buf
-        assert [r() for r in refs] == [None, None, None]
+        del ws, tape, bound_tape, bound_adj
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

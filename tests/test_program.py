@@ -26,8 +26,9 @@ from circsat import (
     forward,
     run_sampling,
 )
+from circsat.probsim import Workspace
 
-from helpers import load, one_gate, random_circuit, solutions_by_key, support_cone
+from helpers import load, nan_workspace, one_gate, random_circuit, solutions_by_key, support_cone
 
 EDGE_PROBS = np.array([0.0, 1.0, 5e-324, 1e-300, 0.5, np.nextafter(0.5, 0.0),
                        np.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-12, 0.25])
@@ -99,8 +100,8 @@ def test_program_equals_whole_circuit_at_every_cone_net(circuit_seed, n_inputs, 
     spare=st.integers(0, 5),
 )
 def test_passes_into_reused_buffers_equal_allocating_passes(circuit_seed, n_inputs, n_gates, b, spare):
-    # The sampler hands forward and backward one (nets, chunk rows) buffer
-    # pair for a whole run; a short chunk uses its leading columns.
+    # The sampler hands forward and backward one workspace of chunk rows for
+    # a whole run; a short chunk uses its leading columns.
     rng = np.random.default_rng(circuit_seed)
     c = random_circuit(rng, n_inputs=n_inputs, n_gates=n_gates)
     net = int(rng.integers(c.num_nets))
@@ -111,36 +112,43 @@ def test_passes_into_reused_buffers_equal_allocating_passes(circuit_seed, n_inpu
     for circuit, probs, pin in cases:
         tape = forward(circuit, probs)
         grad = backward(circuit, tape, {pin: seed})
-        tape_buf = np.full((circuit.num_nets, b + spare), np.nan)
-        adj_buf = np.full((circuit.num_nets, b + spare), np.nan)
+        ws = nan_workspace(circuit, b + spare)
         for _ in range(2):  # the second pass finds the first one's values in the buffers
-            into = forward(circuit, probs, out=tape_buf)
-            assert np.shares_memory(into, tape_buf)
+            into = forward(circuit, probs, ws)
+            assert np.shares_memory(into, ws.tape)
             assert into.tobytes() == tape.tobytes()
-            grad_into = backward(circuit, into, {pin: seed}, out=adj_buf)
-            assert not np.shares_memory(grad_into, adj_buf)
+            grad_into = backward(circuit, into, {pin: seed}, ws)
+            assert not np.shares_memory(grad_into, ws.adj)
             assert grad_into.tobytes() == grad.tobytes()
-        assert np.isnan(tape_buf[:, b:]).all() and np.isnan(adj_buf[:, b:]).all()
+        assert all(np.isnan(buf[:, b:]).all() for buf in (ws.tape, ws.adj, ws.scratch))
 
 
 def test_forward_into_a_buffer_zeroes_undriven_nets():
-    # u is neither an input nor driven: the allocating forward gives it 0.
+    # u is neither an input nor driven: a new array would give it 0.
     c = Circuit(["a", "u", "y"], [0], [2], [Gate(GateKind.AND, (0, 1), 2)])
     P = np.array([[0.25], [1.0]])
-    buf = np.full((3, 2), np.nan)
-    assert forward(c, P, out=buf).tobytes() == forward(c, P).tobytes()
-    assert np.all(buf[1] == 0.0)
+    ws = nan_workspace(c, 2)
+    assert forward(c, P, ws).tobytes() == np.array([[0.25, 1.0], [0.0, 0.0], [0.0, 0.0]]).tobytes()
+    assert np.all(ws.tape[1] == 0.0)
 
 
 def test_buffers_of_the_wrong_shape_are_refused():
-    c = random_circuit(np.random.default_rng(3), n_inputs=3, n_gates=4)
-    P = np.full((5, 3), 0.5)
-    tape = forward(c, P)
-    for shape in [(c.num_nets - 1, 5), (c.num_nets, 4)]:
-        with pytest.raises(CircuitError, match="buffer of shape"):
-            forward(c, P, out=np.empty(shape))
-        with pytest.raises(CircuitError, match="buffer of shape"):
-            backward(c, tape, {c.num_nets - 1: np.ones(5)}, out=np.empty(shape))
+    # A workspace narrower than the batch, one of another circuit, and a
+    # tape other than the one forward last returned on the workspace.
+    rng = np.random.default_rng(3)
+    c, other = (random_circuit(rng, n_inputs=3, n_gates=4) for _ in range(2))
+    P, seeds = np.full((5, 3), 0.5), {c.num_nets - 1: np.ones(5)}
+    with pytest.raises(CircuitError, match="workspace of 4 rows cannot hold 5"):
+        forward(c, P, Workspace(c, 4))
+    ws = Workspace(c, 5)
+    tape = forward(c, P, ws)
+    for pass_ in (lambda: forward(other, P, ws), lambda: backward(other, tape, seeds, ws)):
+        with pytest.raises(CircuitError, match="made for another circuit"):
+            pass_()
+    forward(c, P[:4], ws)
+    for foreign in (tape, tape.copy(), forward(c, P)):
+        with pytest.raises(CircuitError, match="not the one that forward last returned"):
+            backward(c, foreign, seeds, ws)
 
 
 def _clipped_forward(circuit, P):

@@ -25,7 +25,7 @@ from circsat import (
     loss_and_grad,
     run_sampling,
 )
-from circsat import backward, forward, probsim, sampler
+from circsat import backward, forward, sampler
 from circsat.sampler import SolutionSet, _sigmoid
 
 from helpers import (
@@ -159,16 +159,6 @@ class TestLossAndGrad:
         with pytest.raises(CircuitError, match="cannot hold cone rows"):
             loss_and_grad(cone, U, sampler.Workspace(cone, 4, np.float64))
 
-    def test_a_workspace_made_for_the_call_is_not_kept(self):
-        # Without a workspace the passes get no `out`, so probsim binds no
-        # list to the buffers made for the call and keeps none of them.
-        c = load("c17.bench")
-        cone = c.compile(ConstraintSet.from_names(c, {"23": 1, "22": 0}))
-        loss_and_grad(cone, np.zeros((len(cone.input_cols), 8)))
-        assert not probsim._BOUND.get(cone.circuit)
-        loss_and_grad(cone, np.zeros((len(cone.input_cols), 8), np.float32), sampler.Workspace(cone, 8))
-        assert len(probsim._BOUND[cone.circuit]) == 2
-
     def test_a_step_on_a_workspace_allocates_only_the_gradient(self):
         # After a warm-up call has bound its lists, a call on the same
         # workspace makes no chunk-sized temporary besides the dL/dU it returns.
@@ -240,7 +230,7 @@ def test_sigmoid_bitwise_equals_two_branch_formula():
     x = np.concatenate([edges, np.random.default_rng(3).normal(0, 20, 4096)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _sigmoid(x)
+        got = _sigmoid(x, np.empty_like(x), np.empty_like(x))
         pos = x >= 0
         want = np.empty_like(x)
         want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -262,7 +252,7 @@ def test_float32_sigmoid_bitwise_equals_two_branch_formula():
                         np.random.default_rng(3).normal(0, 20, 4096).astype(np.float32)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _sigmoid(x)
+        got = _sigmoid(x, np.empty_like(x), np.empty_like(x))
         pos = x >= 0
         want = np.empty_like(x)
         want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -278,7 +268,7 @@ def test_sigmoid_bitwise_at_zero_tiny_large_and_huge_inputs(dtype):
     x = np.array([0.0, -0.0, 1e-8, -1e-8, 50.0, -50.0, 100.0, -100.0, 3e38, -3e38], dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _sigmoid(x)
+        got = _sigmoid(x, np.empty_like(x), np.empty_like(x))
         want = two_branch_sigmoid(x)  # 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
@@ -506,10 +496,10 @@ class TestRunSampling:
         log = CallLog(tmp_path / "calls")
 
         def record(fn):
-            def wrapper(*args, out):
+            def wrapper(*args, workspace):
                 rows = args[1].shape[0] if fn is forward else args[1].shape[1]
-                log.record(fn.__name__, id(out), list(out.shape), rows)
-                return fn(*args, out=out)
+                log.record(fn.__name__, id(workspace), list(workspace.tape.shape), rows)
+                return fn(*args, workspace=workspace)
             return wrapper
 
         monkeypatch.setattr(sampler, "forward", record(forward))
@@ -525,20 +515,17 @@ class TestRunSampling:
 
         nets = c.compile(cs).circuit.num_nets
         calls = log.calls()
-        tapes = [(pid, buf, shape, b) for pid, name, buf, shape, b in calls if name == "forward"]
-        adjoints = [(pid, buf, shape, b) for pid, name, buf, shape, b in calls if name == "backward"]
+        tapes = [(pid, ws, shape, b) for pid, name, ws, shape, b in calls if name == "forward"]
+        adjoints = [(pid, ws, shape, b) for pid, name, ws, shape, b in calls if name == "backward"]
         for seen in (tapes, adjoints):
             assert len(seen) == 8 * cfg.iterations  # once per chunk
             assert sorted(b for *_, b in seen) == sorted([8] * 35 + [5] * 5)
             assert all(shape == [nets, 8] for _, _, shape, _ in seen)
-        # Buffers of different processes may share an address: tell them by pid.
-        tape_ids = {(pid, buf) for pid, buf, *_ in tapes}
-        adjoint_ids = {(pid, buf) for pid, buf, *_ in adjoints}
-        assert 1 <= len(tape_ids) <= threads and 1 <= len(adjoint_ids) <= threads
-        assert not tape_ids & adjoint_ids
-        # Each worker steps every chunk of its own with one pair.
-        one_each = dict.fromkeys({pid for pid, *_ in tapes}, 1)
-        assert Counter(pid for pid, _ in tape_ids) == Counter(pid for pid, _ in adjoint_ids) == one_each
+        # Workspaces of different processes may share an address: tell them by pid.
+        tape_ids = {(pid, ws) for pid, ws, *_ in tapes}
+        assert 1 <= len(tape_ids) <= threads and tape_ids == {(pid, ws) for pid, ws, *_ in adjoints}
+        # Each worker steps every chunk of its own with one workspace, for both passes.
+        assert Counter(pid for pid, _ in tape_ids) == dict.fromkeys({pid for pid, *_ in tapes}, 1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_traced_seam_runs_once_per_chunk_and_iteration(self, monkeypatch, tmp_path, threads):
@@ -831,9 +818,9 @@ class TestFloat32Path:
         calls = []
 
         def spy(fn):
-            def wrapper(*args, out):
-                result = fn(*args, out=out)
-                calls.append((fn, args, out, result))
+            def wrapper(*args, workspace):
+                result = fn(*args, workspace=workspace)
+                calls.append((fn, args, workspace, result))
                 return result
             return wrapper
 
@@ -843,8 +830,8 @@ class TestFloat32Path:
         cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
         run_sampling(c, cs, SamplerConfig(batch_size=150, iterations=2, seed=1))
         assert {fn for fn, *_ in calls} == {forward, backward} and len(calls) == 2 * 3 * 2
-        for fn, (_, given, *seeds), out, result in calls:
-            assert out.dtype == given.dtype == result.dtype == np.float32
+        for fn, (_, given, *seeds), workspace, result in calls:
+            assert workspace.tape.dtype == given.dtype == result.dtype == np.float32
             if fn is backward:
                 assert all(seed.dtype == np.float32 for seed in seeds[0].values())
 
@@ -1013,14 +1000,23 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field,value",
     [("learning_rate", float("nan")), ("learning_rate", float("inf")),
-     ("learning_rate", float("-inf")), ("init_range", float("nan")),
+     ("learning_rate", float("-inf")), ("learning_rate", 1e39), ("init_range", float("nan")),
      ("init_range", float("inf")), ("init_range", 1e308), ("init_range", 1e39)],
 )
 def test_non_finite_rate_and_range_rejected(field, value):
-    # 1e308 and 1e39 are finite in float64, but V is float32, whose largest
-    # value is about 3.4e38: a larger draw would turn V into +-inf.
+    # 1e308 and 1e39 are finite in float64, but V and the step are float32,
+    # whose largest value is about 3.4e38: a larger draw would turn V into
+    # +-inf, and a larger rate would overflow when the step casts it.
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         SamplerConfig(batch_size=4, **{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_seeds_outside_64_bits_rejected(seed):
+    # The stream is keyed by the seed itself, so no two accepted seeds alias.
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SamplerConfig(batch_size=4, seed=seed)
+    assert SamplerConfig(batch_size=4, seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -1060,12 +1056,13 @@ def test_sampled_rows_are_verified_distinct_brute_force_solutions(circuit_seed, 
 def test_buffers_too_small_for_the_chunk_are_rejected_by_forward():
     c = load("c17.bench")
     cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
-    cone = c.compile(cs).circuit
-    with pytest.raises(CircuitError, match="tape buffer of shape"):
-        forward(cone, np.zeros((10, cone.num_inputs)), out=np.empty((cone.num_nets, 4)))
+    program = c.compile(cs)
+    cone, workspace = program.circuit, sampler.Workspace(program, 4)
+    with pytest.raises(CircuitError, match="workspace of 4 rows cannot hold 10"):
+        forward(cone, np.zeros((10, cone.num_inputs)), workspace)
     tape = forward(cone, np.zeros((10, cone.num_inputs)))
-    with pytest.raises(CircuitError, match="adjoint buffer of shape"):
-        backward(cone, tape, {cone.primary_outputs[0]: np.ones(10)}, out=np.empty((cone.num_nets, 4)))
+    with pytest.raises(CircuitError, match="not the one that forward last returned"):
+        backward(cone, tape, {cone.primary_outputs[0]: np.ones(10)}, workspace)
 
 
 class TestSolutionRows:
