@@ -9,7 +9,9 @@ one when its sort gets stuck, and `validate` reports that as a diagnostic.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,9 +60,13 @@ class GateKind(Enum):
             return fan_in % 2 == 0
         return _SEMANTICS[self][1]
 
+    @functools.cached_property
+    def fan_in(self) -> tuple[int, float]:
+        """(least, greatest) fan-in, kept on the member; the greatest is inf for the n-ary kinds."""
+        return _SEMANTICS[self][2:]
+
     def arity_ok(self, n: int) -> bool:
-        _, _, lo, hi = _SEMANTICS[self]
-        return lo <= n and (hi is None or n <= hi)
+        return self.fan_in[0] <= n <= self.fan_in[1]
 
     def truth(self, bits) -> int:
         """Output bit for a sequence of input bits."""
@@ -70,17 +76,17 @@ class GateKind(Enum):
         return int(out) ^ self.inverted(len(bits))
 
 
-# kind -> (reduction, inverted, min fan-in, max fan-in or None).  XNOR's
+# kind -> (reduction, inverted, min fan-in, max fan-in).  XNOR's
 # inversion depends on the fan-in; see GateKind.inverted.
 _SEMANTICS = {
     GateKind.NOT: ("and", True, 1, 1),
     GateKind.BUF: ("and", False, 1, 1),
-    GateKind.AND: ("and", False, 2, None),
-    GateKind.OR: ("or", False, 2, None),
-    GateKind.NAND: ("and", True, 2, None),
-    GateKind.NOR: ("or", True, 2, None),
-    GateKind.XOR: ("xor", False, 2, None),
-    GateKind.XNOR: ("xor", None, 2, None),
+    GateKind.AND: ("and", False, 2, math.inf),
+    GateKind.OR: ("or", False, 2, math.inf),
+    GateKind.NAND: ("and", True, 2, math.inf),
+    GateKind.NOR: ("or", True, 2, math.inf),
+    GateKind.XOR: ("xor", False, 2, math.inf),
+    GateKind.XNOR: ("xor", None, 2, math.inf),
     GateKind.CONST0: ("and", True, 0, 0),
     GateKind.CONST1: ("and", False, 0, 0),
 }
@@ -182,8 +188,10 @@ class Circuit:
         diags: list[str] = []
         input_set = set(self.primary_inputs)
         driven: dict[int, list[int]] = {}
-        for gi, g in enumerate(self.gates):
-            driven.setdefault(g.output, []).append(gi)
+        # `driver` keeps one gate per net, so it shows whether any net has two drivers or is an input.
+        if len(self.driver) < len(self.gates) or not input_set.isdisjoint(self.driver):
+            for gi, g in enumerate(self.gates):
+                driven.setdefault(g.output, []).append(gi)
         for net, gis in driven.items():
             if len(gis) > 1:
                 diags.append(
@@ -193,21 +201,19 @@ class Circuit:
                 diags.append(
                     f"multiple drivers: primary input '{self.names[net]}' is also driven by gate {gis[0]}"
                 )
+        known = input_set | self.driver.keys()
         for gi, g in enumerate(self.gates):
             if not g.kind.arity_ok(len(g.inputs)):
                 diags.append(
                     f"bad fan-in: gate {gi} ({g.kind.value}) on net "
                     f"'{self.names[g.output]}' has {len(g.inputs)} inputs"
                 )
-            for net in g.inputs:
-                if net not in input_set and net not in driven:
-                    diags.append(
-                        f"dangling net: '{self.names[net]}' used by gate {gi} "
-                        "is neither a primary input nor driven by any gate"
-                    )
-        for net in self.primary_outputs:
-            if net not in input_set and net not in driven:
-                diags.append(f"dangling net: primary output '{self.names[net]}' has no driver")
+            if not known.issuperset(g.inputs):
+                diags += [f"dangling net: '{self.names[net]}' used by gate {gi} "
+                          "is neither a primary input nor driven by any gate"
+                          for net in g.inputs if net not in known]
+        diags += [f"dangling net: primary output '{self.names[net]}' has no driver"
+                  for net in self.primary_outputs if net not in known]
         try:
             self.topo_order()
         except CircuitError as exc:
@@ -223,6 +229,15 @@ class Circuit:
         Raises CircuitError naming the nets of one cycle if there is one.
         """
         if self._topo is not None:
+            return self._topo
+        # Gates that read only inputs and earlier gates' outputs are in the order the heap pops.
+        ready_nets = set(self.primary_inputs)
+        for g in self.gates:
+            if not ready_nets.issuperset(g.inputs):
+                break
+            ready_nets.add(g.output)
+        else:
+            self._topo = list(range(len(self.gates)))
             return self._topo
         input_set = set(self.primary_inputs)
         indeg: list[int] = []

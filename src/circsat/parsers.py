@@ -41,9 +41,8 @@ def _build(order, inputs, outputs, gates_src) -> Circuit:
     gate that drives a net that is already driven (a primary input counts as
     driven) or has the wrong fan-in is an error at its line.
     """
-    ids: dict[str, int] = {}
-    for name in itertools.chain(order, *((out, *ins) for _, out, ins, _ in gates_src)):
-        ids.setdefault(name, len(ids))
+    names = list(dict.fromkeys(itertools.chain(order, *((out, *ins) for _, out, ins, _ in gates_src))))
+    ids = dict(zip(names, range(len(names))))
     driven = set(inputs)
     gates: list[Gate] = []
     for kind, out, ins, line in gates_src:
@@ -54,8 +53,8 @@ def _build(order, inputs, outputs, gates_src) -> Circuit:
             raise ParseError(
                 f"arity violation: {kind.value} gate on '{out}' with {len(ins)} inputs", line
             )
-        gates.append(Gate(kind, tuple(ids[n] for n in ins), ids[out]))
-    circuit = Circuit(list(ids), [ids[n] for n in inputs], [ids[n] for n in outputs], gates)
+        gates.append(Gate(kind, tuple(map(ids.__getitem__, ins)), ids[out]))
+    circuit = Circuit(names, [ids[n] for n in inputs], [ids[n] for n in outputs], gates)
     diags = circuit.validate()
     if diags:
         raise ParseError("invalid circuit: " + "; ".join(diags))
@@ -181,21 +180,33 @@ def _kinds_by_table(fan_in: int) -> dict[tuple[int, ...], GateKind]:
     return {tuple(kind.truth(bits) for bits in points): kind for kind in reversed(kinds)}
 
 
-def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int, lineno: int) -> GateKind:
-    """Canonicalize the single-output cover of the `.names` at `lineno` by truth-table matching."""
-    out_vals = {out for _, out in lines}
+def _cover_to_kind(cover: str, fan_in: int, lineno: int) -> GateKind:
+    """The kind of the `.names` at `lineno` with this cover, found by truth-table matching.
+
+    `cover` is the text of the lines after the `.names` line, blank lines
+    kept, so that an error names its line.
+    """
+    cubes: list[list[str]] = []  # [pattern, output bit] per line; [output bit] at fan-in 0
+    for cl, fields in enumerate(map(str.split, cover.split("\n")), start=lineno + 1):
+        if not fields:
+            continue
+        if fan_in == 0:
+            if len(fields) != 1 or fields[0] not in ("0", "1"):
+                raise ParseError("constant cover line must be a single 0 or 1", cl)
+        elif len(fields) != 2 or fields[1] not in ("0", "1"):
+            raise ParseError("cover line must be '<pattern> <0|1>'", cl)
+        elif len(fields[0]) != fan_in or not set(fields[0]) <= set("01-"):
+            raise ParseError("bad cover pattern", cl)
+        cubes.append(fields)
+    out_vals = {cube[-1] for cube in cubes}
     if len(out_vals) > 1:
         raise ParseError("cover mixes output values 0 and 1", lineno)
     listed = int(out_vals.pop()) if out_vals else 1
-
-    def covered(bits: tuple[int, ...]) -> bool:
-        for pat, _ in lines:
-            if all(p == "-" or int(p) == b for p, b in zip(pat, bits)):
-                return True
-        return False
-
-    points = itertools.product((0, 1), repeat=fan_in)
-    table = tuple(listed if covered(bits) else 1 - listed for bits in points)
+    table = tuple(
+        listed if any(all(p == "-" or int(p) == b for p, b in zip(cube[0], bits)) for cube in cubes)
+        else 1 - listed
+        for bits in itertools.product((0, 1), repeat=fan_in)
+    )
     kind = _kinds_by_table(fan_in).get(table)
     if kind is None:
         raise ParseError(
@@ -205,62 +216,48 @@ def _cover_to_kind(lines: list[tuple[str, str]], fan_in: int, lineno: int) -> Ga
 
 
 def parse_blif(text: str) -> Circuit:
-    # Join continuation lines, strip comments.
-    raw = text.replace("\\\n", " ")
-    lines: list[tuple[int, str]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    # Join continuation lines, strip comments and blanks; every source line stays one line.
+    lines = text.replace("\\\n", " ").splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
 
     model_seen = False
     inputs: list[str] = []
     outputs: list[str] = []
     gates_src: list[tuple[GateKind, str, list[str], int]] = []
-    kinds: dict[tuple, GateKind] = {}  # (fan-in, cover) -> kind, matched once per parse
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        i += 1
-        parts = line.split()
-        cmd = parts[0]
-        if cmd == ".model":
-            if model_seen:
-                raise ParseError("multiple .model sections are not supported", lineno)
-            model_seen = True
-        elif cmd == ".inputs":
-            inputs.extend(parts[1:])
-        elif cmd == ".outputs":
-            outputs.extend(parts[1:])
-        elif cmd == ".names":
+    kinds: dict[tuple[int, str], GateKind] = {}  # (fan-in, cover) -> kind, matched once per parse
+    # A block is a command line and the lines up to the next, such as a `.names` and its
+    # cover; the first holds the lines before any command, under an empty line 0.
+    lineno = 0
+    for block in ("\n" + "\n".join(map(str.strip, lines))).split("\n."):
+        head, _, body = block.partition("\n")
+        parts = ("." + head).split()
+        cmd = parts[0] if lineno else ""
+        if cmd == ".names":
             if len(parts) < 2:
                 raise ParseError(".names needs at least an output net", lineno)
-            sig = parts[1:]
-            cover: list[tuple[str, str]] = []
-            while i < len(lines) and not lines[i][1].startswith("."):
-                cl, cline = lines[i]
-                i += 1
-                fields = cline.split()
-                if len(sig) == 1:
-                    if len(fields) != 1 or fields[0] not in ("0", "1"):
-                        raise ParseError("constant cover line must be a single 0 or 1", cl)
-                    cover.append(("", fields[0]))
-                else:
-                    if len(fields) != 2 or fields[1] not in ("0", "1"):
-                        raise ParseError("cover line must be '<pattern> <0|1>'", cl)
-                    if len(fields[0]) != len(sig) - 1 or not set(fields[0]) <= set("01-"):
-                        raise ParseError("bad cover pattern", cl)
-                    cover.append((fields[0], fields[1]))
-            key = (len(sig) - 1, *cover)
-            if key not in kinds:
-                kinds[key] = _cover_to_kind(cover, len(sig) - 1, lineno)
-            gates_src.append((kinds[key], sig[-1], sig[:-1], lineno))
+            if (key := (len(parts) - 2, body)) not in kinds:
+                kinds[key] = _cover_to_kind(body, len(parts) - 2, lineno)
+            gates_src.append((kinds[key], parts[-1], parts[1:-1], lineno))
         elif cmd == ".end":
             break
-        elif cmd == ".latch":
-            raise ParseError(".latch is not supported (combinational circuits only)", lineno)
         else:
-            raise ParseError(f"unsupported BLIF construct '{cmd}'", lineno)
+            if cmd == ".model":
+                if model_seen:
+                    raise ParseError("multiple .model sections are not supported", lineno)
+                model_seen = True
+            elif cmd == ".inputs":
+                inputs.extend(parts[1:])
+            elif cmd == ".outputs":
+                outputs.extend(parts[1:])
+            elif cmd == ".latch":
+                raise ParseError(".latch is not supported (combinational circuits only)", lineno)
+            elif cmd:
+                raise ParseError(f"unsupported BLIF construct '{cmd}'", lineno)
+            for ln, line in enumerate(body.split("\n"), start=lineno + 1):
+                if line:
+                    raise ParseError(f"unsupported BLIF construct '{line.split()[0]}'", ln)
+        lineno += 1 + block.count("\n")
 
     if not inputs and not model_seen:
         raise ParseError("missing .model/.inputs/.outputs header")

@@ -41,6 +41,8 @@ class Workspace:
     """
 
     def __init__(self, circuit: Circuit, rows: int, dtype=np.float32, tape: np.ndarray | None = None):
+        if tape is not None and (tape.ndim != 2 or tape.shape[0] != circuit.num_nets):
+            raise CircuitError(f"expected a tape of shape ({circuit.num_nets}, b), got {tape.shape}")
         self.circuit, self.lists, self.last_tape = circuit, {}, tape
         self.tape = np.empty((circuit.num_nets, rows), dtype) if tape is None else tape
         self.adj = np.empty_like(self.tape)
@@ -169,9 +171,11 @@ def backward(
     input rows; inputs outside the fan-in of every seeded net get exactly 0,
     and the result equals accumulating into zeros up to the sign of a zero.
     """
-    ws = Workspace(circuit, tape.shape[1], tape.dtype, tape) if workspace is None else workspace
+    ws = Workspace(circuit, tape.shape[-1], tape.dtype, tape) if workspace is None else workspace
     if tape is not ws.last_tape:
         raise CircuitError("the tape is not the one that forward last returned on this workspace")
+    if bad := [(net, np.shape(seed)) for net, seed in seeds.items() if np.shape(seed) != tape.shape[1:]]:
+        raise CircuitError(f"the seed of net {bad[0][0]} has shape {bad[0][1]}, not {tape.shape[1:]}")
     adj, seed_rows, ops = ws._bound(circuit, (tape.shape[1], *seeds), _lower_backward, tape, tuple(seeds))
     for row, seed in zip(seed_rows, seeds.values()):
         np.copyto(row, seed, casting="unsafe")

@@ -181,12 +181,11 @@ def _pack_keys(bits: np.ndarray) -> np.ndarray:
     A key of one word is a uint64; a wider one is a void scalar of its words,
     which NumPy sorts and compares byte by byte.
     """
-    packed = np.packbits(bits, axis=0)
-    width = packed.shape[0]
-    words = -(-width // 8)
-    padded = np.zeros((packed.shape[1], 8 * words), dtype=np.uint8)
-    padded[:, :width] = packed.T
-    return padded.view(np.uint64 if words == 1 else f"V{8 * words}")[:, 0]
+    words = -(-len(bits) // 64)
+    # Row-major, so each key's bits are contiguous and pack with the rest in one flat pass.
+    block = np.zeros((bits.shape[1], 64 * words), dtype=np.uint8)
+    block[:, : len(bits)] = bits.T
+    return np.packbits(block).view(np.uint64 if words == 1 else f"V{8 * words}")
 
 
 def init_embeddings(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import json
 import os
@@ -242,6 +243,48 @@ def support_cone(circuit: Circuit, constraints: ConstraintSet) -> set[int]:
     return seen & set(circuit.primary_inputs)
 
 
+def reference_topo_order(circuit: Circuit) -> list[int]:
+    """Gate indices in dependency order by Kahn's sort on a min-heap, ties to the lower index.
+
+    The sort as `Circuit.topo_order` did it before it learnt to keep a gate
+    order that is already topological; a cycle raises the same CircuitError.
+    """
+    input_set = set(circuit.primary_inputs)
+    indeg: list[int] = []
+    fanout: dict[int, list[int]] = {}  # gate index -> dependent gate indices
+    for gi, g in enumerate(circuit.gates):
+        deg = 0
+        for net in g.inputs:
+            di = circuit.driver.get(net)
+            if di is not None and net not in input_set:
+                deg += 1
+                fanout.setdefault(di, []).append(gi)
+        indeg.append(deg)
+    ready = [gi for gi, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        gi = heapq.heappop(ready)
+        order.append(gi)
+        for dep in fanout.get(gi, ()):
+            indeg[dep] -= 1
+            if indeg[dep] == 0:
+                heapq.heappush(ready, dep)
+    if len(order) != len(circuit.gates):
+        left = {gi for gi, d in enumerate(indeg) if d}
+        path: list[int] = []
+        at: dict[int, int] = {}  # gate -> its position in path
+        gi = min(left)
+        while gi not in at:
+            at[gi] = len(path)
+            path.append(gi)
+            gi = next(circuit.driver[n] for n in circuit.gates[gi].inputs
+                      if n not in input_set and circuit.driver.get(n) in left)
+        cycle = [circuit.gates[g].output for g in reversed(path[at[gi]:])]
+        raise CircuitError("cycle: " + " -> ".join(circuit.names[n] for n in cycle + cycle[:1]))
+    return order
+
+
 def brute_force_solutions(
     circuit: Circuit, constraints: ConstraintSet
 ) -> set[tuple[int, ...]]:
@@ -377,7 +420,7 @@ def to_verilog(circuit: Circuit, module_name: str = "top") -> str:
     inputs = [circuit.name(n) for n in circuit.primary_inputs]
     outputs = [circuit.name(n) for n in circuit.primary_outputs]
     io = set(circuit.primary_inputs) | set(circuit.primary_outputs)
-    wires = [circuit.name(g.output) for g in circuit.gates if g.output not in io]
+    wires = list(dict.fromkeys(circuit.name(g.output) for g in circuit.gates if g.output not in io))
     lines = [f"module {module_name}({','.join(inputs + outputs)});"]
     lines.append(f"input {','.join(inputs)};")
     lines.append(f"output {','.join(outputs)};")
@@ -392,12 +435,12 @@ def to_verilog(circuit: Circuit, module_name: str = "top") -> str:
 
 
 def to_bench(circuit: Circuit) -> str:
+    """The circuit as .bench, its gates in the circuit's order (as `to_verilog` and `to_blif`)."""
     if any(g.kind.is_const for g in circuit.gates):
         raise CircuitError("constant drivers cannot be expressed in .bench")
     lines = [f"INPUT({circuit.name(n)})" for n in circuit.primary_inputs]
     lines += [f"OUTPUT({circuit.name(n)})" for n in circuit.primary_outputs]
-    for gi in circuit.topo_order():
-        g = circuit.gates[gi]
+    for g in circuit.gates:
         keyword = "BUFF" if g.kind is GateKind.BUF else g.kind.value
         args = ", ".join(circuit.name(n) for n in g.inputs)
         lines.append(f"{circuit.name(g.output)} = {keyword}({args})")
@@ -408,8 +451,7 @@ def to_blif(circuit: Circuit, model_name: str = "top") -> str:
     lines = [f".model {model_name}"]
     lines.append(".inputs " + " ".join(circuit.name(n) for n in circuit.primary_inputs))
     lines.append(".outputs " + " ".join(circuit.name(n) for n in circuit.primary_outputs))
-    for gi in circuit.topo_order():
-        g = circuit.gates[gi]
+    for g in circuit.gates:
         sig = " ".join(circuit.name(n) for n in g.inputs) + (" " if g.inputs else "")
         lines.append(f".names {sig}{circuit.name(g.output)}")
         f = len(g.inputs)

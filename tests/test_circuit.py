@@ -41,6 +41,12 @@ def test_multiple_drivers_diagnostic():
     assert any("multiple drivers" in d and "'x'" in d for d in c.validate())
 
 
+def test_driven_primary_input_diagnostic():
+    # Each net has one driver, so only the driven input shows the fault.
+    c = Circuit(["a", "b", "y"], [0, 1], [2], [Gate(GateKind.NOT, (1,), 0), Gate(GateKind.BUF, (0,), 2)])
+    assert c.validate() == ["multiple drivers: primary input 'a' is also driven by gate 0"]
+
+
 def test_dangling_net_diagnostic():
     c = Circuit(["a", "z", "y"], [0], [2], [Gate(GateKind.AND, (0, 1), 2)])
     assert any("dangling" in d and "'z'" in d for d in c.validate())

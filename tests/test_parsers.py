@@ -1,9 +1,15 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circsat import (
+    Circuit,
+    CircuitError,
+    Gate,
     GateKind,
     ParseError,
     parse_bench,
@@ -14,8 +20,9 @@ from circsat import (
     tseytin_encode,
     write_dimacs,
 )
+from circsat import parsers
 
-from helpers import DATA, load, random_circuit, to_bench, to_blif, to_verilog
+from helpers import DATA, load, random_circuit, reference_topo_order, to_bench, to_blif, to_verilog
 
 
 class TestVerilog:
@@ -162,6 +169,80 @@ class TestBlif:
         assert np.array_equal(outs(cv, rows), outs(cb, rows[:, by_name]))
 
 
+class TestBlifBlocks:
+    """A `.names` block is read as one unit: its cover text is checked and matched once."""
+
+    AND = ".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
+
+    @pytest.mark.parametrize("src", [
+        ".model t\n.inputs a b\n.outputs y\n.names a b y\n\n11 1\n   \n\n.end\n",
+        ".model t\n.inputs a b\n.outputs y\n.names a b y\n# the on-set\n11 1 # one cube\n.end\n",
+        ".model t\n.inputs a b\n.outputs y\n.names a b \\\ny\n11 \\\n1\n.end\n",
+        "  .model t\n\t.inputs a b\n .outputs y\n   .names a b y\n\t11 1  \n  .end\n",
+        ".model t\r\n.inputs a b\r\n.outputs y\r\n.names a b y\r\n11 1\r\n.end\r\n",
+        ".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n.names junk\n",
+    ], ids=["blank-lines", "comments", "continuations", "indentation", "crlf", "after-end"])
+    def test_layout_inside_a_block_gives_the_same_circuit(self, src):
+        want, got = parse_blif(self.AND), parse_blif(src)
+        assert (got.names, got.primary_inputs, got.primary_outputs, got.gates) == (
+            want.names, want.primary_inputs, want.primary_outputs, want.gates)
+
+    @pytest.mark.parametrize("src, message", [
+        # Blank lines and comments keep their line numbers.
+        (".model t\n.inputs a b\n.outputs y\n.names a b y\n\n# c\n1x 1\n.end\n",
+         "bad cover pattern at line 7$"),
+        # A continuation joins two lines into one, and the lines after it count the joined text.
+        (".model t\n.inputs a \\\nb\n.outputs y\n.names a b y\n1x 1\n.end\n",
+         "bad cover pattern at line 5$"),
+        (".model t\n.inputs a b\n.outputs y\n.names a b y\n1\\\n1 1\n.end\n",
+         "cover line must be '<pattern> <0|1>' at line 5$"),
+        (".model t\n.inputs a b\n.outputs y\n.names a b y\n  11 1 1  # c\n.end\n",
+         "cover line must be '<pattern> <0|1>' at line 5$"),
+        (".model t\n.inputs a\n.outputs y\n.names y\n\n 2\n.end\n",
+         "constant cover line must be a single 0 or 1 at line 6$"),
+        # Lines that follow a command other than `.names` are not a cover.
+        (".model t\n.inputs a b\n\n11 1\n.outputs y\n.end\n", "unsupported BLIF construct '11' at line 4$"),
+        ("# header\n\nfoo bar\n.model t\n", "unsupported BLIF construct 'foo' at line 3$"),
+        (". names a y\n1 1\n", "unsupported BLIF construct '.' at line 1$"),
+        (".model t\n.inputs a\n.outputs y\n.names\n1\n.end\n", ".names needs at least an output net at line 4$"),
+        (".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.model u\n.end\n",
+         "multiple .model sections are not supported at line 6$"),
+    ])
+    def test_errors_name_the_source_line(self, src, message):
+        with pytest.raises(ParseError, match=message):
+            parse_blif(src)
+
+    @pytest.mark.parametrize("src, message", [
+        # A malformed cover is reported where it first occurs, before its repeats.
+        (".model t\n.inputs a b\n.outputs y z\n.names a b y\n1x 1\n.names a b z\n1x 1\n.end\n",
+         "bad cover pattern at line 5$"),
+        # A cover text seen before under another fan-in is checked again.
+        (".model t\n.inputs a b\n.outputs y z\n.names a y\n1 1\n.names a b z\n1 1\n.end\n",
+         "bad cover pattern at line 7$"),
+        # A good cover repeated after a malformed one of the same fan-in does not hide it.
+        (".model t\n.inputs a b\n.outputs y z w\n.names a b y\n11 1\n.names a b z\n11 1\n01 0\n"
+         ".names a b w\n11 1\n.end\n", "cover mixes output values 0 and 1 at line 6$"),
+    ])
+    def test_repeated_covers_are_checked_as_the_first(self, src, message):
+        with pytest.raises(ParseError, match=message):
+            parse_blif(src)
+
+    def test_repeated_cover_after_a_different_layout_gives_the_same_kind(self):
+        src = (".model t\n.inputs a b c\n.outputs y z w\n.names a b y\n11 0\n"
+               ".names b c z\n11 0 # nand\n\n.names a c w\n11 0\n.end\n")
+        assert [g.kind for g in parse_blif(src).gates] == [GateKind.NAND] * 3
+
+    def test_each_distinct_cover_is_matched_once(self, monkeypatch):
+        c = random_circuit(np.random.default_rng(3), n_inputs=6, n_gates=120)
+        calls = []
+        match = parsers._cover_to_kind
+        monkeypatch.setattr(parsers, "_cover_to_kind", lambda *args: calls.append(args) or match(*args))
+        assert parse_blif(to_blif(c)).num_nets == c.num_nets
+        # `to_blif` writes one cover text per gate semantics at each fan-in.
+        covers = {(len(g.inputs), g.kind.reduction, g.kind.inverted(len(g.inputs))) for g in c.gates}
+        assert len(calls) == len({(fan_in, cover) for cover, fan_in, _ in calls}) == len(covers) < len(c.gates)
+
+
 class TestBench:
     def test_c17_counts(self):
         c = load("c17.bench")
@@ -256,6 +337,85 @@ class TestRoundTripAndCrossFormat:
         rng = np.random.default_rng(1)
         vectors = rng.integers(0, 2, size=(1000, 5))
         assert np.array_equal(cb.eval_batch(vectors), cv.eval_batch(vectors))
+
+
+def _defective(rng: np.random.Generator, c: Circuit, defect: str) -> Circuit:
+    """`c` with one defect: a gate reading a net nothing drives, a second driver or a cycle.
+
+    The net nothing drives is made an output, so that Verilog declares it.
+    """
+    names, gates, outputs = list(c.names), list(c.gates), list(c.primary_outputs)
+    gi = int(rng.integers(len(gates)))
+    g = gates[gi]
+    if defect == "dangling":
+        names.append("floating")
+        outputs.append(len(names) - 1)
+        gates[gi] = Gate(g.kind, g.inputs[:-1] + (len(names) - 1,), g.output)
+    elif defect == "second driver":
+        gates.append(Gate(GateKind.NOT, (c.primary_inputs[0],), g.output))
+    elif defect == "cycle":  # read an output that depends on this gate's
+        reach = [g.output]
+        for h in gates[gi + 1:]:
+            if set(h.inputs) & set(reach):
+                reach.append(h.output)
+        gates[gi] = Gate(g.kind, (reach[int(rng.integers(len(reach)))], *g.inputs[1:]), g.output)
+    return Circuit(names, c.primary_inputs, outputs, gates)
+
+
+def _by_name(c: Circuit):
+    """The circuit under its net names, each gate as its lowered semantics."""
+    return ([c.names[n] for n in c.primary_inputs], [c.names[n] for n in c.primary_outputs],
+            [(g.kind.reduction, g.kind.inverted(len(g.inputs)),
+              [c.names[n] for n in g.inputs], c.names[g.output]) for g in c.gates])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_inputs=st.integers(1, 6),
+    n_gates=st.integers(1, 25),
+    defect=st.sampled_from([None, "dangling", "second driver", "cycle"]),
+    shuffle=st.booleans(),
+)
+def test_formats_agree_and_topo_order_equals_the_heap_sort(seed, n_inputs, n_gates, defect, shuffle):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_inputs, n_gates)
+    if defect:
+        c = _defective(rng, c, defect)
+    if shuffle:  # the gates out of dependency order
+        order = rng.permutation(len(c.gates))
+        c = Circuit(c.names, c.primary_inputs, c.primary_outputs, [c.gates[gi] for gi in order])
+    try:
+        want_order = reference_topo_order(c)
+    except CircuitError as exc:
+        with pytest.raises(CircuitError) as got:
+            c.topo_order()
+        assert str(got.value) == str(exc) and str(exc) in c.validate()
+    else:
+        assert c.topo_order() == want_order
+    texts = {"verilog": to_verilog(c), "bench": to_bench(c), "blif": to_blif(c)}
+    if defect is None:
+        parsed = {fmt: getattr(parsers, f"parse_{fmt}")(text) for fmt, text in texts.items()}
+        for p in parsed.values():
+            assert _by_name(p) == _by_name(c)
+            assert p.topo_order() == reference_topo_order(p) == want_order
+        # First use numbers the nets as declaration does when every gate follows its inputs.
+        same = ["bench", "blif"] if shuffle else ["verilog", "bench", "blif"]
+        assert all(parsed[f].names == parsed["blif"].names for f in same)
+        return
+    errors = {}
+    for fmt, text in texts.items():
+        with pytest.raises(ParseError) as exc:
+            getattr(parsers, f"parse_{fmt}")(text)
+        errors[fmt] = str(exc.value)
+    if defect == "second driver":
+        net = c.names[c.gates[-1].output] if not shuffle else None
+        for message in errors.values():
+            assert re.fullmatch(r"redefinition of net '(\w+)': duplicate driver at line \d+", message)
+            assert net is None or f"'{net}'" in message
+        assert len({re.sub(r" at line \d+$", "", m) for m in errors.values()}) == 1
+    else:
+        assert set(errors.values()) == {"invalid circuit: " + "; ".join(c.validate())}
 
 
 class TestDispatchAndConstraints:

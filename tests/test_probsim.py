@@ -208,6 +208,28 @@ class TestBackward:
         with pytest.raises(CircuitError):
             backward(c, tape, {99: np.ones(1)})
 
+    def test_tape_without_a_row_per_net_rejected(self):
+        c = load("c17.bench")
+        tape = forward(c, np.full((3, 5), 0.5))
+        out = c.primary_outputs[0]
+        for short in (tape[:-2], tape[0]):
+            with pytest.raises(CircuitError, match=r"expected a tape of shape \(11, b\)"):
+                backward(c, short, {out: np.ones(3)})
+        with pytest.raises(CircuitError, match=r"expected a tape of shape \(11, b\), got \(9, 3\)"):
+            Workspace(c, 3, tape=tape[:-2])
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 5])
+    def test_seed_of_another_width_than_the_tape_rejected(self, width):
+        c = load("c17.bench")
+        tape = forward(c, np.full((3, 5), 0.5))
+        seeds = {c.primary_outputs[0]: np.ones(3), c.primary_outputs[1]: np.ones(width)}
+        with pytest.raises(CircuitError, match=rf"seed of net {c.primary_outputs[1]} has shape "
+                                               rf"\({width},\), not \(3,\)"):
+            backward(c, tape, seeds)
+        narrow = forward(c, np.full((2, 5), 0.5))
+        with pytest.raises(CircuitError, match=r"has shape \(3,\), not \(2,\)"):
+            backward(c, narrow, {c.primary_outputs[0]: np.ones(3)})
+
     def test_matches_finite_differences_on_random_circuits(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
