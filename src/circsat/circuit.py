@@ -14,6 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +95,7 @@ _SEMANTICS = {
 _REDUCE = {"and": np.logical_and, "or": np.logical_or, "xor": np.logical_xor}
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: GateKind
     inputs: tuple[int, ...]
     output: int

@@ -82,7 +82,7 @@ def _unwritable(path: Path) -> str | None:
 def _write(path: str | Path, text: str) -> bool:
     """Write `text` to the file at `path`; if that fails, say why and return False."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write '{path}': {exc.strerror}", file=sys.stderr)
         return False
@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
         cells = _expand_cells(manifest, Path(args.manifest).resolve().parent)
         if not cells:
             raise ValueError("manifest contains no cells")

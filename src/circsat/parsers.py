@@ -3,8 +3,10 @@
 Each frontend only recognises its syntax and hands (inputs, outputs, gate
 sources) to one builder, which numbers the nets, rejects a duplicate driver
 or a bad fan-in at the gate's source line and validates the Circuit; so all
-three formats report such errors the same way.  Netlists are only read
-here; nothing in the package writes one.
+three formats report such errors the same way.  Verilog is read statement
+by statement, split at `;`, and a syntax error names the line where its
+statement starts.  Netlists are only read here; nothing in the package
+writes one.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ from .circuit import Circuit, ConstraintSet, Gate, GateKind
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}" + (f", col {col}" if col is not None else "")
-        super().__init__(message + loc)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} at line {line}")
         self.line = line
-        self.col = col
 
 
 _VERILOG_KINDS = {kind.value.lower(): kind for kind in GateKind if not kind.is_const}
@@ -65,84 +63,46 @@ def _build(order, inputs, outputs, gates_src) -> Circuit:
 # Verilog (positional-port, gate-primitive-only subset)
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*|[(),;]|\S")
-
-
-def _tokenize_verilog(text: str):
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        code = line.split("//", 1)[0]
-        for m in _TOKEN_RE.finditer(code):
-            tokens.append((m.group(0), lineno, m.start() + 1))
-    return tokens
+_NAME = r"[A-Za-z_][A-Za-z0-9_$]*"
+_NAMES = rf"{_NAME}(?:\s*,\s*{_NAME})*"
+# A declaration `input|output|wire NAMES`, or `KEYWORD NAME ( NAMES )`: the module or a gate.
+_STATEMENT_RE = re.compile(
+    rf"\s*(?:(input|output|wire)\s+({_NAMES})|({_NAME})\s+{_NAME}\s*\(\s*({_NAMES})\s*\))\s*"
+)
 
 
 def parse_verilog(text: str) -> Circuit:
-    tokens = _tokenize_verilog(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(expected: str | None = None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"unexpected end of input, expected {expected or 'a token'}")
-        tok, line, col = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected '{expected}', found '{tok}'", line, col)
-        pos += 1
-        return tok, line, col
-
-    def take_name(what: str) -> tuple[str, int, int]:
-        tok, line, col = take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", tok):
-            raise ParseError(f"expected {what}, found '{tok}'", line, col)
-        return tok, line, col
-
-    def name_list() -> list[str]:
-        out = [take_name("a net name")[0]]
-        while peek() == ",":
-            take(",")
-            out.append(take_name("a net name")[0])
-        return out
-
-    take("module")
-    take_name("a module name")
-    take("(")
-    ports = name_list()
-    take(")")
-    take(";")
-
-    declared_inputs: list[str] = []
-    declared_outputs: list[str] = []
-    declared_wires: list[str] = []
+    *statements, tail = "\n".join(line.split("//", 1)[0] for line in text.splitlines()).split(";")
+    ports: list[str] | None = None
+    declarations: dict[str, list[str]] = {"input": [], "output": [], "wire": []}
+    declared_inputs, declared_outputs, declared_wires = declarations.values()
     gates_src: list[tuple[GateKind, str, list[str], int]] = []
 
-    while peek() != "endmodule":
-        tok, line, col = take()
-        if tok in ("input", "output", "wire"):
-            names = name_list()
-            take(";")
-            {"input": declared_inputs, "output": declared_outputs, "wire": declared_wires}[
-                tok
-            ].extend(names)
-        elif tok in _VERILOG_KINDS:
-            kind = _VERILOG_KINDS[tok]
-            take_name("an instance name")
-            take("(")
-            args = name_list()
-            take(")")
-            take(";")
-            if len(args) < 2:
-                raise ParseError(f"gate '{tok}' needs an output and at least one input", line, col)
-            gates_src.append((kind, args[0], args[1:], line))
+    line = 1  # where the next statement's text begins; its errors name its first non-blank line
+    for stmt in statements:
+        at = line + stmt.count("\n", 0, len(stmt) - len(stmt.lstrip()))
+        line += stmt.count("\n")
+        m = _STATEMENT_RE.fullmatch(stmt)
+        if m is None:
+            shown = " ".join(stmt.split())
+            raise ParseError(f"malformed statement '{shown}'" if shown else "empty statement", at)
+        decl, decl_names, keyword, args = m.groups()
+        if (keyword == "module") != (ports is None):
+            raise ParseError("more than one module" if ports is not None else
+                             f"expected 'module', found '{decl or keyword}'", at)
+        names = re.findall(_NAME, decl_names or args)
+        if keyword == "module":
+            ports = names
+        elif decl:
+            declarations[decl].extend(names)
+        elif keyword in _VERILOG_KINDS:  # the output, then the inputs; `_build` checks the fan-in
+            gates_src.append((_VERILOG_KINDS[keyword], names[0], names[1:], at))
         else:
-            raise ParseError(f"unsupported construct '{tok}'", line, col)
-    take("endmodule")
-    if pos != len(tokens):
-        tok, line, col = tokens[pos]
-        raise ParseError(f"unexpected token '{tok}' after endmodule", line, col)
+            raise ParseError(f"unsupported construct '{keyword}'", at)
+    if ports is None or tail.split() != ["endmodule"]:
+        at = line + tail.count("\n", 0, len(tail) - len(tail.lstrip()))
+        raise ParseError("expected 'module'" if ports is None else
+                         "expected 'endmodule' as the only text after the last ';'", at)
 
     names = declared_inputs + declared_outputs + declared_wires
     declared: set[str] = set()
@@ -215,9 +175,14 @@ def _cover_to_kind(cover: str, fan_in: int, lineno: int) -> GateKind:
     return kind
 
 
+_CONTINUED_RE = re.compile(r"^(?:[^\n]*\\\n)+[^\n]*", re.MULTILINE)
+
+
 def parse_blif(text: str) -> Circuit:
-    # Join continuation lines, strip comments and blanks; every source line stays one line.
-    lines = text.replace("\\\n", " ").splitlines()
+    # Join `\` continuations, padded with blank lines to keep line numbers; strip comments.
+    if "\\\n" in text:
+        text = _CONTINUED_RE.sub(lambda m: m[0].replace("\\\n", " ") + "\n" * m[0].count("\n"), text)
+    lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
 
@@ -316,7 +281,7 @@ _EXTENSIONS = {".v": "verilog", ".blif": "blif", ".bench": "bench"}
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of a file; undecodable bytes are a ParseError naming the file."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

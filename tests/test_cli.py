@@ -5,10 +5,14 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circsat
 from circsat import cli, sampler
 from circsat.cli import main
 from circsat.sampler import SolutionSet
@@ -288,6 +292,19 @@ def test_failed_output_write_is_input_error(c17, capsys, command, flag):
     assert f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}" in err
 
 
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(c17):
+    """Under `-X warn_default_encoding` a file opened in the locale's encoding warns; here that fails."""
+    src = str(Path(circsat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+              "-c", "import sys; from circsat.cli import main; sys.exit(main(sys.argv[1:]))"]
+    for argv in (sample_args(c17, "c17.bench", "pin2.txt", **{"--batch": "1000", "--iters": "3"}),
+                 ["verify", "--circuit", str(c17 / "c17.bench"), "--constraints", str(c17 / "pin2.txt"),
+                  "--solutions", str(c17 / "solutions.txt")]):
+        proc = subprocess.run(python + argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestVerify:
     def test_sample_then_verify_ok(self, c15):
         argv = sample_args(c15, "c15.v", "g19.txt", **{"--batch": "2000", "--iters": "3"})
@@ -498,6 +515,13 @@ class TestInfo:
         p.write_text(module)
         assert run("info", "--circuit", str(p)) == 2
         assert message in capsys.readouterr().err
+
+    def test_verilog_statement_error_is_one_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.v"
+        p.write_text("module t(a,y);\ninput a; output y;\n  and A0(y,\n a a);\nendmodule\n")
+        assert run("info", "--circuit", str(p)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: malformed statement 'and A0(y, a a)' at line 3"]
 
 
 class TestBench:

@@ -89,6 +89,51 @@ class TestVerilog:
         assert set(str(exc.value).split("cycle: ")[1].split(" -> ")) == {"w", "y"}
 
 
+_LAYOUT = st.lists(st.sampled_from([" ", "\t", "\n", " // comment\n"]), max_size=3).map("".join)
+
+
+class TestVerilogStatements:
+    """Verilog is read as `;`-terminated statements; an error names the line its statement starts on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_gates=st.integers(1, 12), data=st.data())
+    def test_layout_between_tokens_gives_the_same_circuit(self, seed, n_gates, data):
+        src = to_verilog(random_circuit(np.random.default_rng(seed), n_inputs=3, n_gates=n_gates))
+        tokens = re.findall(r"\w+|\S", src)
+        gaps = data.draw(st.lists(_LAYOUT, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        text = ""
+        for gap, tok in zip(gaps, tokens + [""]):
+            if not gap and text[-1:].isalnum() and tok[:1].isalnum():
+                gap = " "  # two names need a space between them
+            text += gap + tok
+        want, got = parse_verilog(src), parse_verilog(text)
+        assert (got.names, got.primary_inputs, got.primary_outputs, got.gates) == (
+            want.names, want.primary_inputs, want.primary_outputs, want.gates)
+
+    @pytest.mark.parametrize("src, message", [
+        ("// header\nwire w;\nmodule t(a,y); input a; output y; not N0(y,a); endmodule",
+         "expected 'module', found 'wire' at line 2"),
+        ("module t(a,y); input a; output y; not N0(y,a);\nmodule u(b); endmodule",
+         "more than one module at line 2"),
+        ("module t(a,y); input a; output y;\nnot (y,a);\nendmodule",
+         "malformed statement 'not (y,a)' at line 2"),
+        ("module t(a,y); input a;\n;output y; not N0(y,a); endmodule", "empty statement at line 2"),
+        ("module t(a,y); input a; output y;\nnot N0(y,a);\n", "expected 'endmodule' "
+         "as the only text after the last ';' at line 2"),
+        ("module t(a,y); input a; output y;\nnot N0(y,a);\n\n  endmodule\nfoo\n", "expected 'endmodule' "
+         "as the only text after the last ';' at line 4"),
+        ("module t(a,y);\ninput a; output y;\n  and A0(y, // first\n a a);\nendmodule",
+         "malformed statement 'and A0(y, a a)' at line 3"),
+        ("module t(a,y); input a; output y;\nnot N0(y);\nendmodule",
+         "arity violation: NOT gate on 'y' with 0 inputs at line 2"),
+    ], ids=["before-module", "second-module", "no-instance-name", "empty", "no-endmodule",
+            "after-endmodule", "two-lines", "no-gate-input"])
+    def test_errors_name_the_line_where_the_statement_starts(self, src, message):
+        with pytest.raises(ParseError) as exc:
+            parse_verilog(src)
+        assert str(exc.value) == message
+
+
 class TestBlif:
     def test_and_cover(self):
         c = parse_blif(".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n")
@@ -191,9 +236,11 @@ class TestBlifBlocks:
         # Blank lines and comments keep their line numbers.
         (".model t\n.inputs a b\n.outputs y\n.names a b y\n\n# c\n1x 1\n.end\n",
          "bad cover pattern at line 7$"),
-        # A continuation joins two lines into one, and the lines after it count the joined text.
+        # A continuation joins two lines into one; the lines after it keep their numbers.
         (".model t\n.inputs a \\\nb\n.outputs y\n.names a b y\n1x 1\n.end\n",
-         "bad cover pattern at line 5$"),
+         "bad cover pattern at line 6$"),
+        (".model t\n.inputs a \\\nb \\\nc\n.outputs y\n.names a b c \\\ny\n1x1 1\n.end\n",
+         "bad cover pattern at line 8$"),
         (".model t\n.inputs a b\n.outputs y\n.names a b y\n1\\\n1 1\n.end\n",
          "cover line must be '<pattern> <0|1>' at line 5$"),
         (".model t\n.inputs a b\n.outputs y\n.names a b y\n  11 1 1  # c\n.end\n",
