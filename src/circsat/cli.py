@@ -103,6 +103,7 @@ def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
             "init_range": config.init_range,
             "dedup": config.dedup_scope,
             "threads": config.threads,
+            "workers": result.workers,
         },
         "iterations": [dataclasses.asdict(s) for s in result.stats],
         "total_unique": total,
@@ -336,6 +337,7 @@ def cmd_bench(args) -> int:
                     "cumulative_unique": s.cumulative_unique,
                     "satisfied_rows": s.satisfied_rows,
                     "elapsed_ms": round(s.elapsed_ms, 3),
+                    "wait_ms": round(s.wait_ms, 3),
                     "cumulative_ms": round(cum_ms, 3),
                     "throughput_per_s": round(
                         s.cumulative_unique / (cum_ms / 1000.0), 3
@@ -367,7 +369,10 @@ def _add_circuit_args(p: argparse.ArgumentParser):
     )
 
 
-_THREADS_HELP = "worker processes (forked); 0 = one per CPU; capped at the CPUs and the chunks"
+_THREADS_HELP = (
+    "worker processes (forked); 0 = one per CPU; capped at the CPUs and the chunks; "
+    "each runs on its own share of the CPU set, so that no two share a CPU while one idles"
+)
 
 
 # Built once per process: each build leaves some 290 objects in reference

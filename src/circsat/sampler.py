@@ -25,7 +25,9 @@ the caller, and the others are forked before anything is drawn.  Worker w
 draws chunks w, w + workers, ... itself and owns them for the whole run, with
 one `Workspace` of buffers; it steps them every iteration and packs and
 deduplicates their keys, and a forked worker sends each iteration's results
-without waiting to be asked.  Only the lookup in the solution set and the
+without waiting to be asked.  With more than one worker, each runs on its
+own share of the CPU set, so that the scheduler cannot put two on one CPU
+while another idles.  Only the lookup in the solution set and the
 insert are serial, and chunks are harvested in a fixed order, so results do
 not depend on chunking or worker count.  The solution set keeps its keys in a
 sorted array and its rows in one block, in discovery order.
@@ -118,6 +120,7 @@ class IterationStats:
     elapsed_ms: float
     loss_mean: float
     satisfied_rows: int  # rows that met the pins after the step, repeats included
+    wait_ms: float = 0.0  # the caller's time blocked on the other workers' results
 
 
 @dataclass
@@ -133,6 +136,7 @@ class SolutionSet:
     all_input_names: list[str]
     cone_cols: list[int]  # cone positions within the primary-input order
     dedup_scope: str
+    workers: int = 1  # processes that stepped the chunks, the caller included
     stats: list[IterationStats] = field(default_factory=list)
     _keys: np.ndarray | None = field(default=None, init=False, repr=False)  # sorted
     _blocks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
@@ -333,8 +337,16 @@ def _own_chunks(config: SamplerConfig, cone: ConeProgram, free_cols: list[int],
     return chunks
 
 
-def _serve(conn, parent_ends: list, run) -> None:
-    """A forked worker: send each item of `run`, one iteration's results each.
+def _pin(cpus: set[int]) -> None:
+    """Run the calling thread on `cpus`, or where it runs now if the system refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # a CPU the system will not give, say; results never depend on placement
+        pass
+
+
+def _serve(conn, parent_ends: list, cpus: set[int], run) -> None:
+    """A forked worker on `cpus`: send each item of `run`, one iteration's results each.
 
     An exception is sent for the parent to raise, as a `RuntimeError` naming
     it if it does not survive pickling.
@@ -342,6 +354,7 @@ def _serve(conn, parent_ends: list, run) -> None:
     for end in parent_ends:  # so that the only open ends are the caller's
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    _pin(cpus)
     try:
         for results in run:
             conn.send(results)
@@ -407,16 +420,16 @@ def run_sampling(
         )
     key_cols = cone.input_cols if config.dedup_scope == DEDUP_CONE else slice(None)
 
+    starts = range(0, config.batch_size, _CHUNK_ROWS)
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = min(config.threads or len(cpus), len(cpus), len(starts))
+    _check_memory(config, cone, circuit.num_inputs, workers)
     result = SolutionSet(
         all_input_names=[circuit.name(n) for n in circuit.primary_inputs],
         cone_cols=cone.input_cols,
         dedup_scope=config.dedup_scope,
+        workers=workers,
     )
-
-    starts = range(0, config.batch_size, _CHUNK_ROWS)
-    cpus = len(os.sched_getaffinity(0))
-    workers = min(config.threads or cpus, cpus, len(starts))
-    _check_memory(config, cone, circuit.num_inputs, workers)
     free_cols = sorted(set(range(circuit.num_inputs)) - set(cone.input_cols))
 
     def worker_run(w: int):
@@ -438,17 +451,21 @@ def run_sampling(
         for w in range(1, workers):
             conn, child_end = ctx.Pipe(duplex=False)
             conns.append(conn)
-            procs.append(ctx.Process(target=_serve, args=(child_end, conns, worker_run(w)),
-                                     daemon=True))
+            procs.append(ctx.Process(target=_serve, daemon=True,
+                                     args=(child_end, conns, set(cpus[w::workers]), worker_run(w))))
             procs[-1].start()
             child_end.close()
+        if workers > 1:  # disjoint shares, as workers <= len(cpus)
+            _pin(set(cpus[::workers]))
         own = worker_run(0)
         results = [None] * len(starts)
         for it in range(1, config.iterations + 1):
             t0 = time.perf_counter()
             results[0::workers] = next(own)
+            t1 = time.perf_counter()
             for w, conn in enumerate(conns, 1):
                 results[w::workers] = _receive(conn)
+            wait_ms = (time.perf_counter() - t1) * 1000.0 if conns else 0.0
             new_unique, loss_sum, satisfied = 0, 0.0, 0
             for rows, first, keys, chunk_loss, chunk_ok in results:  # chunk order => deterministic
                 loss_sum += chunk_loss
@@ -459,6 +476,7 @@ def run_sampling(
                 iteration=it, new_unique=new_unique, cumulative_unique=len(result),
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 loss_mean=loss_sum / config.batch_size, satisfied_rows=satisfied,
+                wait_ms=wait_ms,
             ))
         finished = True
     finally:
@@ -471,4 +489,6 @@ def run_sampling(
             if not finished:
                 proc.terminate()
             proc.join()
+        if workers > 1:
+            _pin(set(cpus))
     return result

@@ -217,14 +217,16 @@ class TestSample:
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         files = []
-        for threads, children in (("1", 0), ("2", 1)):
+        for threads, children in (("1", 0), ("2", 1), ("0", 1)):
             starts.clear()
             argv = sample_args(c15, "c15.v", "g19.txt",
                                **{"--batch": "200", "--iters": "4", "--threads": threads})
             assert run(*argv) == 0
             assert len(starts) == children
+            config = json.loads((c15 / "stats.json").read_text())["config"]
+            assert (config["threads"], config["workers"]) == (int(threads), children + 1)
             files.append((c15 / "solutions.txt").read_bytes())
-        assert files[0] == files[1]
+        assert files[0] == files[1] == files[2]
         assert files[0].count(b"\n") > 2
 
     def test_emit_all_inputs_header(self, c15):
@@ -590,11 +592,11 @@ class TestBench:
         assert bench_stats["config"] == sample_stats["config"] == {
             "circuit": str(c17 / "c17.bench"), "constraints": str(c17 / "pin2.txt"),
             "batch": 10000, "lr": 15.0, "iters": 10, "seed": 0, "init_range": 1.0,
-            "dedup": "cone", "threads": 1,
+            "dedup": "cone", "threads": 1, "workers": 1,
         }
         assert list(sample_stats["iterations"][0]) == [
             "iteration", "new_unique", "cumulative_unique", "elapsed_ms", "loss_mean",
-            "satisfied_rows",
+            "satisfied_rows", "wait_ms",
         ]
 
     def test_rows_carry_satisfied_rows(self, c17):
@@ -607,6 +609,7 @@ class TestBench:
         with open(c17 / "out" / "bench.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["satisfied_rows"]) for r in rows] == [it["satisfied_rows"] for it in stats]
+        assert [float(r["wait_ms"]) for r in rows] == [0.0] * 3  # one worker waits for none
 
     def test_failed_cell_gives_exit_4_and_continues(self, c17):
         manifest = {

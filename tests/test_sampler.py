@@ -1,9 +1,11 @@
 import dataclasses
+import errno
 import multiprocessing
 import multiprocessing.connection
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -661,6 +663,23 @@ class TestRunSampling:
         assert np.array_equal(r1.full_rows(), r2.full_rows())
 
 
+def _recording_affinity(monkeypatch, tmp_path, refuse=False) -> CallLog:
+    """Record every `os.sched_setaffinity` of the calling thread, in any process, as its CPUs.
+
+    Nothing is pinned: a call is recorded, then refused with EINVAL if `refuse`.
+    """
+    log = CallLog(tmp_path / "affinity")
+
+    def set_affinity(pid, cpus):
+        assert pid == 0
+        log.record(sorted(cpus))
+        if refuse:
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+    return log
+
+
 def _two_cores_counting_starts(monkeypatch) -> list:
     """Make the CPU set two cores; return the list of processes started."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -678,24 +697,104 @@ def _two_cores_counting_starts(monkeypatch) -> list:
 class TestWorkerProcesses:
     """The caller is worker 0; the other workers are forked children."""
 
-    def test_workers_capped_at_the_cpus_and_the_chunks(self, monkeypatch):
+    def test_workers_capped_at_the_cpus_and_the_chunks(self, monkeypatch, tmp_path):
         # Eight chunks of rows, so even a broken cap forks at most seven children.
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
         starts = _two_cores_counting_starts(monkeypatch)
+        pins = _recording_affinity(monkeypatch, tmp_path)
         c = load("c17.bench")
         cs = ConstraintSet.from_names(c, {"23": 1, "22": 0})
         runs = {}
         for batch, threads, children in ((61, 1, 0), (61, 10**6, 1), (61, 0, 1), (8, 2, 0)):
             starts.clear()
+            pins.clear()
             cfg = SamplerConfig(batch_size=batch, iterations=4, seed=3, threads=threads)
             r = run_sampling(c, cs, cfg)
-            assert len(starts) == children
+            assert len(starts) == children and r.workers == children + 1
+            # One worker runs where the caller runs: nothing asks for CPUs.
+            assert len(pins.calls()) == (0 if children == 0 else 3)
             assert multiprocessing.active_children() == []
             runs[batch, threads] = (
                 list(solutions_by_key(r)), r.full_rows().tolist(),
                 [(s.new_unique, s.satisfied_rows, s.loss_mean) for s in r.stats],
             )
         assert runs[61, 10**6] == runs[61, 0] == runs[61, 1]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_each_worker_asks_for_its_own_share_of_the_cpus(self, monkeypatch, tmp_path, threads):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        starts = _two_cores_counting_starts(monkeypatch)
+        allowed = [0, 1, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
+        pins = _recording_affinity(monkeypatch, tmp_path)
+        c, cs = c15_with_pin()
+        run_sampling(c, cs, SamplerConfig(batch_size=61, iterations=2, threads=threads))
+        asked: dict[int, list] = {}
+        for pid, cpus in pins.calls():
+            asked.setdefault(pid, []).append(cpus)
+        # The caller, worker 0, pins itself after forking and at the end asks for its mask back.
+        assert asked.pop(os.getpid()) == [allowed[0::threads], allowed]
+        assert asked == {proc.pid: [allowed[w::threads]] for w, proc in enumerate(starts, 1)}
+        shares = [allowed[0::threads]] + [cpus for (cpus,) in asked.values()]
+        assert sorted(sum(shares, [])) == allowed  # disjoint, and every CPU used
+
+    def test_workers_refused_their_cpus_give_the_results_of_one(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        starts = _two_cores_counting_starts(monkeypatch)
+        pins = _recording_affinity(monkeypatch, tmp_path, refuse=True)
+        c, cs = c15_with_pin()
+        cfg = SamplerConfig(batch_size=61, iterations=4, seed=5, threads=2)
+        pinned = run_sampling(c, cs, cfg)
+        assert len(starts) == 1 and starts[0].exitcode == 0
+        assert {pid for pid, _ in pins.calls()} == {os.getpid(), starts[0].pid}
+        serial = run_sampling(c, cs, dataclasses.replace(cfg, threads=1))
+        assert list(solutions_by_key(pinned)) == list(solutions_by_key(serial))
+        assert np.array_equal(pinned.full_rows(), serial.full_rows())
+        assert ([(s.new_unique, s.satisfied_rows, s.loss_mean) for s in pinned.stats]
+                == [(s.new_unique, s.satisfied_rows, s.loss_mean) for s in serial.stats])
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_the_caller_and_its_child_step_on_disjoint_cpus(self, monkeypatch, tmp_path):
+        # On the real CPU set.  Left to the scheduler, both workers were seen
+        # stepping on one CPU of two, which made a second worker cost time.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        log = CallLog(tmp_path / "calls")
+        real = sampler._process_chunk
+
+        def spy(*args):
+            log.record(sorted(os.sched_getaffinity(0)))
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "_process_chunk", spy)
+        before = os.sched_getaffinity(0)
+        c, cs = c15_with_pin()
+        r = run_sampling(c, cs, SamplerConfig(batch_size=61, iterations=3, threads=2))
+        assert r.workers == 2 and os.sched_getaffinity(0) == before
+        seen: dict[int, set] = {}
+        for pid, cpus in log.calls():
+            seen.setdefault(pid, set()).update(cpus)
+        caller = seen.pop(os.getpid())
+        (child,) = seen.values()
+        assert caller and child and not caller & child
+
+    def test_wait_ms_is_the_time_the_caller_waits_for_its_children(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
+        _two_cores_counting_starts(monkeypatch)
+        parent = os.getpid()
+        real = sampler._process_chunk
+
+        def slow_in_the_child(*args):
+            if os.getpid() != parent:
+                time.sleep(0.02)
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "_process_chunk", slow_in_the_child)
+        c, cs = c15_with_pin()
+        cfg = SamplerConfig(batch_size=61, iterations=3, threads=2)
+        # The child steps four chunks an iteration, some 80 ms of sleep.
+        assert all(40 < s.wait_ms <= s.elapsed_ms for s in run_sampling(c, cs, cfg).stats)
+        serial = run_sampling(c, cs, dataclasses.replace(cfg, threads=1))
+        assert [s.wait_ms for s in serial.stats] == [0.0] * cfg.iterations
 
     def test_no_worker_outlives_a_run(self, monkeypatch):
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
@@ -735,10 +834,11 @@ class TestWorkerProcesses:
          "worker process failed: Unpicklable('bad')"),
     ])
     def test_worker_exception_is_raised_by_the_caller(
-        self, monkeypatch, capfd, failure, raised, message
+        self, monkeypatch, capfd, tmp_path, failure, raised, message
     ):
         monkeypatch.setattr(sampler, "_CHUNK_ROWS", 8)
         starts = _two_cores_counting_starts(monkeypatch)
+        pins = _recording_affinity(monkeypatch, tmp_path)
         parent = os.getpid()
         real = sampler._process_chunk
 
@@ -764,6 +864,8 @@ class TestWorkerProcesses:
         assert type(errors[0]) is raised and message in str(errors[0])
         assert len(starts) == 1 and multiprocessing.active_children() == []
         assert "Traceback" not in capfd.readouterr().err
+        # The caller pinned itself to its share, then asked for its whole mask back.
+        assert [cpus for pid, cpus in pins.calls() if pid == parent] == [[0], [0, 1]]
 
     def test_a_child_blocked_sending_does_not_hang_a_caller_that_stops(self, monkeypatch):
         # The caller fails in its own first step while the child's first
