@@ -1,7 +1,9 @@
 """Command-line surface: sample, verify, export-cnf, info, bench.
 
 Exit codes: 0 ok, 2 input error, 3 verification failure, 4 partial bench
-failure.
+failure.  The subcommands raise on bad input and on failed writes, to files
+or to standard output; `main` alone turns those into one `error: ...` line
+and exit 2.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -20,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitError
 from .cnf import tseytin_encode, write_dimacs
-from .parsers import ParseError, parse_constraints, parse_file, read_text
+from .parsers import parse_constraints, parse_file, read_text
 from .sampler import SamplerConfig, SolutionSet, run_sampling
 
 EXIT_OK = 0
@@ -70,23 +72,20 @@ def _solutions_text(result: SolutionSet, emit_all_inputs: bool) -> str:
     return header + "\n" + text.tobytes().decode()
 
 
-def _unwritable(path: Path) -> str | None:
-    """Why an output file cannot be created at `path`, or None."""
+def _check_writable(path: Path) -> None:
+    """Raise ValueError saying why an output file cannot be created at `path`, if it cannot."""
     if not path.parent.is_dir():
-        return f"directory '{path.parent}' of '{path}' does not exist"
+        raise ValueError(f"directory '{path.parent}' of '{path}' does not exist")
     if path.is_dir():
-        return f"'{path}' is a directory"
-    return None
+        raise ValueError(f"'{path}' is a directory")
 
 
-def _write(path: str | Path, text: str) -> bool:
-    """Write `text` to the file at `path`; if that fails, say why and return False."""
+def _write(path: str | Path, text: str) -> None:
+    """Write `text` to the file at `path`; a failure is a ValueError naming the path."""
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write '{path}': {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write '{path}': {exc.strerror}") from exc
 
 
 def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
@@ -118,60 +117,43 @@ def _report(result: SolutionSet, config: SamplerConfig, circuit_path: str,
 
 
 def cmd_sample(args) -> int:
-    try:
-        circuit = parse_file(args.circuit, args.format)
-        constraints = parse_constraints(read_text(args.constraints), circuit)
-        config = _config(vars(args))
-    except (ParseError, CircuitError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    circuit = parse_file(args.circuit, args.format)
+    constraints = parse_constraints(read_text(args.constraints), circuit)
+    config = _config(vars(args))
     for path in (Path(args.out), Path(args.stats)):
-        if problem := _unwritable(path):
-            print(f"error: {problem}", file=sys.stderr)
-            return EXIT_INPUT
+        _check_writable(path)
     t0 = time.perf_counter()
-    try:
-        result = run_sampling(circuit, constraints, config)
-    except (CircuitError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = run_sampling(circuit, constraints, config)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     report = _report(result, config, args.circuit, args.constraints, wall_ms)
     report["completed"] = True
-    if not (_write(args.out, _solutions_text(result, args.emit_all_inputs))
-            and _write(args.stats, json.dumps(report, indent=2) + "\n")):
-        return EXIT_INPUT
+    _write(args.out, _solutions_text(result, args.emit_all_inputs))
+    _write(args.stats, json.dumps(report, indent=2) + "\n")
     print(f"{len(result)} unique solutions in {wall_ms:.1f} ms -> {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        circuit = parse_file(args.circuit, args.format)
-        constraints = parse_constraints(read_text(args.constraints), circuit)
-        cone = circuit.compile(constraints)
-        text = read_text(args.solutions)
-    except (ParseError, CircuitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    circuit = parse_file(args.circuit, args.format)
+    constraints = parse_constraints(read_text(args.constraints), circuit)
+    cone = circuit.compile(constraints)
+    # (line number in the file, stripped text) of each non-blank line.
+    lines = [(n, ln.strip()) for n, ln in enumerate(read_text(args.solutions).splitlines(), 1)
+             if ln.strip()]
     if not lines:
         print("warning: empty solutions file; nothing to verify", file=sys.stderr)
         return EXIT_OK
-    header = [name.strip() for name in lines[0].split(",")]
+    header = [name.strip() for name in lines[0][1].split(",")]
     input_cols = {circuit.name(n): col for col, n in enumerate(circuit.primary_inputs)}
     for k, name in enumerate(header):
         if name not in input_cols:
-            print(f"error: header column '{name}' is not a primary input", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"header column '{name}' is not a primary input")
         if name in header[:k]:
-            print(f"error: duplicate header column '{name}'", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"duplicate header column '{name}'")
     missing = [name for name in cone.circuit.names[: cone.circuit.num_inputs] if name not in header]
     if missing:
         cols = ", ".join(f"'{name}'" for name in missing)
-        print(f"error: header lacks support-cone input column(s) {cols}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"header lacks support-cone input column(s) {cols}")
     rows = lines[1:]
     if not rows:
         print("warning: empty solutions file; nothing to verify", file=sys.stderr)
@@ -179,14 +161,9 @@ def cmd_verify(args) -> int:
     # Inputs outside the support cone cannot affect the pinned nets; fill them with 0.
     bits = np.zeros((len(rows), circuit.num_inputs), dtype=np.uint8)
     cols = [input_cols[name] for name in header]
-    for k, row in enumerate(rows):
-        row = row.strip()
+    for k, (line, row) in enumerate(rows):
         if len(row) != len(header) or set(row) - {"0", "1"}:
-            print(
-                f"error: line {k + 2}: expected {len(header)} bits, got '{row}'",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
+            raise ValueError(f"line {line}: expected {len(header)} bits, got '{row}'")
         bits[k, cols] = [int(bit) for bit in row]
     pin_nets = list(cone.pins)
     want = np.array([cone.pins[n] for n in pin_nets], dtype=np.uint8)
@@ -196,41 +173,33 @@ def cmd_verify(args) -> int:
         k = failing[0]
         bad = {cone.circuit.name(n): int(got[k, j])
                for j, n in enumerate(pin_nets) if got[k, j] != want[j]}
-        print(f"verification failed at line {k + 2}: row '{rows[k].strip()}' gives {bad}")
+        line, row = rows[k]
+        print(f"verification failed at line {line}: row '{row}' gives {bad}")
         return EXIT_VERIFY
     print(f"verified {len(rows)} rows against {len(pin_nets)} pins")
     return EXIT_OK
 
 
 def cmd_export_cnf(args) -> int:
-    if args.out and (problem := _unwritable(Path(args.out))):
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        circuit = parse_file(args.circuit, args.format)
-        constraints = None
-        if args.constraints:
-            constraints = parse_constraints(read_text(args.constraints), circuit)
-        cnf = tseytin_encode(circuit, constraints)
-    except (ParseError, CircuitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.out:
+        _check_writable(Path(args.out))
+    circuit = parse_file(args.circuit, args.format)
+    constraints = None
+    if args.constraints:
+        constraints = parse_constraints(read_text(args.constraints), circuit)
+    cnf = tseytin_encode(circuit, constraints)
     text = write_dimacs(cnf)
     if args.out:
-        if not _write(args.out, text):
-            return EXIT_INPUT
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # the counts below are printed only once the formula is out
     print(f"{cnf.var_count} variables, {len(cnf.clauses)} clauses", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
-    try:
-        circuit = parse_file(args.circuit, args.format)
-    except (ParseError, CircuitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    circuit = parse_file(args.circuit, args.format)
     hist = Counter(g.kind.value for g in circuit.gates)
     info = {
         "inputs": circuit.num_inputs,
@@ -283,25 +252,19 @@ def _expand_cells(manifest: object, base: Path) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        SamplerConfig(batch_size=1, threads=args.threads)  # checked once, not per cell
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    SamplerConfig(batch_size=1, threads=args.threads)  # checked once, not per cell
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
         cells = _expand_cells(manifest, Path(args.manifest).resolve().parent)
         if not cells:
             raise ValueError("manifest contains no cells")
     except (OSError, ValueError) as exc:
-        print(f"error: bad manifest: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"bad manifest: {exc}") from exc
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory '{out_dir}': {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"cannot create output directory '{out_dir}': {exc.strerror}") from exc
     csv_rows = []
     any_failed = False
     for idx, cell in enumerate(cells):
@@ -313,15 +276,13 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             result = run_sampling(circuit, constraints, config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-        except (ParseError, CircuitError, OSError, ValueError, MemoryError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             print(f"{label}: FAILED: {exc}", file=sys.stderr)
-            if not _write(out_dir / f"{label}.error.txt", str(exc) + "\n"):
-                return EXIT_INPUT
+            _write(out_dir / f"{label}.error.txt", str(exc) + "\n")
             any_failed = True
             continue
         report = _report(result, config, cell["circuit"], cell["constraints"], wall_ms)
-        if not _write(out_dir / f"{label}.stats.json", json.dumps(report, indent=2) + "\n"):
-            return EXIT_INPUT
+        _write(out_dir / f"{label}.stats.json", json.dumps(report, indent=2) + "\n")
         cum_ms = 0.0
         for s in result.stats:
             cum_ms += s.elapsed_ms
@@ -351,8 +312,7 @@ def cmd_bench(args) -> int:
         writer = csv.DictWriter(text, fieldnames=list(csv_rows[0]))
         writer.writeheader()
         writer.writerows(csv_rows)
-        if not _write(out_dir / "bench.csv", text.getvalue()):
-            return EXIT_INPUT
+        _write(out_dir / "bench.csv", text.getvalue())
     return EXIT_BENCH_PARTIAL if any_failed else EXIT_OK
 
 
@@ -429,7 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # standard output failed: let what it still holds go nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import itertools
@@ -294,6 +295,60 @@ def test_failed_output_write_is_input_error(c17, capsys, command, flag):
     assert f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}" in err
 
 
+
+def cli_subprocess(argv, stdout, buffered=False):
+    """`circsat argv` in a fresh interpreter, with standard output on the open file `stdout`."""
+    src = str(Path(circsat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    python = [sys.executable, "-c", "import sys; from circsat.cli import main; sys.exit(main(sys.argv[1:]))"]
+    return subprocess.run(python + argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["info", "export-cnf", "sample", "verify"])
+def test_failed_write_to_standard_output_is_one_input_error(c17, command, buffered):
+    # A buffered write fails at the flush in `main`, an unbuffered one at once.
+    argv = {
+        "info": ["info", "--json", "--circuit", str(c17 / "c17.bench")],
+        "export-cnf": ["export-cnf", "--circuit", str(c17 / "c17.bench")],
+        "sample": sample_args(c17, "c17.bench", "pin2.txt", **{"--batch": "100", "--iters": "1"}),
+        "verify": ["verify", "--circuit", str(c17 / "c17.bench"), "--constraints", str(c17 / "pin2.txt"),
+                   "--solutions", str(c17 / "rows.txt")],
+    }[command]
+    (c17 / "rows.txt").write_text("1,2,3,6,7\n00000\n")
+    with open("/dev/full", "w") as full:
+        proc = cli_subprocess(argv, full, buffered)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+
+def test_internal_fault_is_not_an_input_error(c17, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("worker 1 died")
+    monkeypatch.setattr(cli, "run_sampling", fail)
+    with pytest.raises(RuntimeError, match="worker 1 died"):
+        run(*sample_args(c17, "c17.bench", "pin2.txt"))
+
+
+def test_only_main_prints_an_error_and_exits_2():
+    """A subcommand raises on bad input; it neither prints `error: ...` nor returns EXIT_INPUT."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    exit_input, error_prints = [], []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "EXIT_INPUT":
+                exit_input.append(owner or ("definition" if isinstance(node.ctx, ast.Store) else None))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+                    and node.args and "error:" in ast.unparse(node.args[0])):
+                error_prints.append(owner)
+    assert sorted(set(exit_input)) == ["definition", "main"]
+    assert error_prints == ["main"]
+
 def test_files_are_read_and_written_as_utf8_whatever_the_locale(c17):
     """Under `-X warn_default_encoding` a file opened in the locale's encoding warns; here that fails."""
     src = str(Path(circsat.__file__).parents[1])
@@ -390,6 +445,14 @@ class TestVerify:
         (and_not / "sol.txt").write_text("b,a\n01\n11\n00\n")
         assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 3
         assert "line 3: row '11' gives {'z': 0}" in capsys.readouterr().out
+
+    def test_messages_name_the_line_of_the_file_after_blank_lines(self, c17, and_not, capsys):
+        (c17 / "sol.txt").write_text("1,2,3,6,7\n01001\n\n1x111\n")
+        assert verify(c17, "c17.bench", "pin2.txt", "sol.txt") == 2
+        assert capsys.readouterr().err == "error: line 4: expected 5 bits, got '1x111'\n"
+        (and_not / "sol.txt").write_text("\nb,a\n\n01\n\n11\n")
+        assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 3
+        assert "verification failed at line 6: row '11' gives {'z': 0}" in capsys.readouterr().out
 
 
     @pytest.mark.parametrize(
