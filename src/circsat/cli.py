@@ -33,12 +33,13 @@ EXIT_VERIFY = 3
 EXIT_BENCH_PARTIAL = 4
 
 
-# The sampling options of `sample` and of a bench cell, with their defaults.
+# The sampling options of `sample` and of a bench cell, with their defaults, in
+# the order a bench cell's grid is expanded, the first outermost.
 _DEFAULTS = {
-    "batch": 10000,
     "lr": SamplerConfig.learning_rate,
-    "iters": SamplerConfig.iterations,
     "seed": SamplerConfig.seed,
+    "batch": 10000,
+    "iters": SamplerConfig.iterations,
     "init_range": SamplerConfig.init_range,
     "dedup": SamplerConfig.dedup_scope,
 }
@@ -158,13 +159,16 @@ def cmd_verify(args) -> int:
     if not rows:
         print("warning: empty solutions file; nothing to verify", file=sys.stderr)
         return EXIT_OK
+    # All rows are checked at once, and searched one by one only if one is bad:
+    # any character but 0 or 1 leaves a byte that is not b"0" or b"1".
+    texts = [row for _, row in rows]
+    digits = np.frombuffer("".join(texts).encode(), dtype=np.uint8) - ord("0")
+    if set(map(len, texts)) != {len(header)} or np.any(digits > 1):
+        line, row = next(r for r in rows if len(r[1]) != len(header) or set(r[1]) - {"0", "1"})
+        raise ValueError(f"line {line}: expected {len(header)} bits, got '{row}'")
     # Inputs outside the support cone cannot affect the pinned nets; fill them with 0.
     bits = np.zeros((len(rows), circuit.num_inputs), dtype=np.uint8)
-    cols = [input_cols[name] for name in header]
-    for k, (line, row) in enumerate(rows):
-        if len(row) != len(header) or set(row) - {"0", "1"}:
-            raise ValueError(f"line {line}: expected {len(header)} bits, got '{row}'")
-        bits[k, cols] = [int(bit) for bit in row]
+    bits[:, [input_cols[name] for name in header]] = digits.reshape(len(rows), len(header))
     pin_nets = list(cone.pins)
     want = np.array([cone.pins[n] for n in pin_nets], dtype=np.uint8)
     got = cone.circuit.eval_batch(bits[:, cone.input_cols], nets=pin_nets)
@@ -230,22 +234,20 @@ def _expand_cells(manifest: object, base: Path) -> list[dict]:
     if not isinstance(raws, list):
         raise ValueError("expected a JSON object whose 'cells' is a list")
     cells = []
-    grid_keys = ["lr", "seed", "batch", "iters"]
     for i, raw in enumerate(raws):
         if not isinstance(raw, dict):
             raise ValueError(f"cell {i} is not a JSON object")
         if not (all(isinstance(raw.get(key), str) for key in ("circuit", "constraints"))
                 and isinstance(raw.get("format"), (str, type(None)))):
             raise ValueError(f"cell {i} needs 'circuit', 'constraints' and any 'format' as strings")
-        grids = [raw[k] if isinstance(raw.get(k), list) else [raw.get(k)] for k in grid_keys]
+        grids = [raw[k] if isinstance(raw.get(k), list) else [raw.get(k)] for k in _DEFAULTS]
         for point in itertools.product(*grids):
-            opts = {k: raw.get(k) for k in _DEFAULTS} | dict(zip(grid_keys, point))
             cells.append(
                 {
                     "circuit": str(base / raw["circuit"]),
                     "constraints": str(base / raw["constraints"]),
                     "format": raw.get("format"),
-                    **{k: _DEFAULTS[k] if v is None else v for k, v in opts.items()},
+                    **{k: _DEFAULTS[k] if v is None else v for k, v in zip(_DEFAULTS, point)},
                 }
             )
     return cells
@@ -290,9 +292,7 @@ def cmd_bench(args) -> int:
                 {
                     "cell": label,
                     "circuit": Path(cell["circuit"]).name,
-                    "batch": cell["batch"],
-                    "lr": cell["lr"],
-                    "seed": cell["seed"],
+                    **{k: cell[k] for k in _DEFAULTS},
                     "iteration": s.iteration,
                     "new_unique": s.new_unique,
                     "cumulative_unique": s.cumulative_unique,

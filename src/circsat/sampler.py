@@ -13,24 +13,28 @@ on that dense program alone: `loss_and_grad` takes the program and a chunk's
 input-major cone rows U and returns dL/dU input-major, and the oracle is the
 program's batched `eval_batch`.  V is one stream seeded by `seed`, row after
 row, and `init_embeddings` can draw any range of its rows, so a batch is a
-prefix of any larger batch and a chunk of rows can be drawn on its own.  Of a
-chunk's draw the sampler keeps the cone rows U, which it steps in place
-(U -= lr * dL/dU), and the hardened don't-care bits.  The oracle checks every
-row after every step, but a row that met the pins after the last step and
-kept its cone bits is a fixed point whose key was already looked up, so it is
-not re-harvested.
+prefix of any larger batch and a chunk of rows can be drawn on its own.
+
+A `Chunk` is what the sampler keeps of a chunk's draw: the cone rows U, the
+hardened don't-care bits and, per row, whether it met the pins after the last
+step.  `_process_chunk` steps a chunk in place (U -= lr * dL/dU), checks every
+row with the oracle and returns a `Step`: the rows to harvest, the index of
+the first with each key, their sorted keys, and counters that `run_sampling`
+sums over the chunks into the iteration's `IterationStats`.  A row that met
+the pins after the last step and kept its cone bits is a fixed point whose key
+was already looked up, so it is not harvested again.
 
 The rows are independent, so the chunks run on worker processes: worker 0 is
 the caller, and the others are forked before anything is drawn.  Worker w
 draws chunks w, w + workers, ... itself and owns them for the whole run, with
-one `Workspace` of buffers; it steps them every iteration and packs and
-deduplicates their keys, and a forked worker sends each iteration's results
-without waiting to be asked.  With more than one worker, each runs on its
-own share of the CPU set, so that the scheduler cannot put two on one CPU
-while another idles.  Only the lookup in the solution set and the
-insert are serial, and chunks are harvested in a fixed order, so results do
-not depend on chunking or worker count.  The solution set keeps its keys in a
-sorted array and its rows in one block, in discovery order.
+one `Workspace` of buffers; it steps them every iteration, and a forked worker
+sends each iteration's `Step`s without waiting to be asked.  With more than
+one worker, each runs on its own share of the CPU set, so that the scheduler
+cannot put two on one CPU while another idles.  Only the lookup in the
+solution set and the insert are serial, and the steps are harvested in chunk
+order, so results do not depend on chunking or worker count.  The solution
+set keeps its keys in a sorted array and its rows in one block, in discovery
+order.
 
 The gradient-descent path runs in float32: V, the sigmoid, the tape, the
 adjoint, the loss and the step (`_FLOAT`).  Precision can change which rows
@@ -40,7 +44,6 @@ the exact Boolean oracle.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import numbers
 import os
@@ -48,6 +51,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,12 +166,9 @@ class SolutionSet:
             self._blocks = [block]
         return self._blocks[0]
 
-    def _add(self, keys: np.ndarray, rows: np.ndarray, first: np.ndarray) -> int:
-        """Store the rows whose key is not yet known, in row order; return how many.
-
-        `keys` are distinct `_pack_keys` keys in ascending order, and
-        `rows[first[i]]` is the row of `keys[i]`.
-        """
+    def _add(self, step: Step) -> int:
+        """Store the step's rows whose key is not yet known, in row order; return how many."""
+        keys = step.keys
         known = keys[:0] if self._keys is None else self._keys
         pos = np.searchsorted(known, keys)
         fresh = pos == len(known)
@@ -175,7 +176,7 @@ class SolutionSet:
         if fresh.any():
             # The positions, found in the old array, ascend with the keys.
             self._keys = np.insert(known, pos[fresh], keys[fresh])
-            self._blocks.append(rows[np.sort(first[fresh])])
+            self._blocks.append(step.rows[np.sort(step.first[fresh])])
         return int(fresh.sum())
 
 
@@ -274,20 +275,28 @@ def harden(V: np.ndarray) -> np.ndarray:
     return (np.asarray(V) >= 0.0).view(np.uint8)
 
 
-def _process_chunk(
-    cone: ConeProgram, learning_rate: float, free_cols: list[int], key_cols: list[int] | slice,
-    workspace: Workspace, U: np.ndarray, free_bits: np.ndarray, met: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """One GD step on a chunk's input-major cone rows U (in place).
+class Chunk(NamedTuple):
+    """A worker's state for one chunk of rows, kept for the whole run."""
 
-    `workspace` is the worker's `Workspace`, `free_bits` the chunk's
-    input-major don't-care bits and `key_cols` the columns of a row that form
-    its dedup key.  `met` holds, per row, whether it met the pins after the
-    last step; it is updated in place.  Returns (full rows that met the pins
-    and may hold a key not yet looked up, the index of the first of these
-    rows with each `_pack_keys` key, those keys in ascending order, loss sum,
-    rows that met the pins), none of which aliases the workspace.
-    """
+    U: np.ndarray  # the input-major cone rows, which each step updates in place
+    free_bits: np.ndarray  # the input-major don't-care bits, hardened from the draw
+    met: np.ndarray  # per row, whether it met the pins after the last step
+
+
+class Step(NamedTuple):
+    """What a chunk's step hands the harvest, none of it aliasing the workspace."""
+
+    rows: np.ndarray  # full rows that met the pins and may hold a key not yet looked up
+    first: np.ndarray  # rows[first[i]] is the first row with keys[i]
+    keys: np.ndarray  # the rows' distinct `_pack_keys` keys, in ascending order
+    loss_sum: float = 0.0
+    satisfied_rows: int = 0  # rows that met the pins, repeats included
+
+
+def _process_chunk(cone: ConeProgram, learning_rate: float, free_cols: list[int],
+                   key_cols: list[int] | slice, workspace: Workspace, chunk: Chunk) -> Step:
+    """One GD step on `chunk`, in place; a row's dedup key is its `key_cols` columns."""
+    U, met = chunk.U, chunk.met
     before = U >= 0.0  # the cone bits the last step hardened
     loss, grad = loss_and_grad(cone, U, workspace)
     grad *= learning_rate
@@ -305,8 +314,7 @@ def _process_chunk(
     idx = np.flatnonzero(new)
     bits = np.empty((len(cone.input_cols) + len(free_cols), len(idx)), dtype=np.uint8)
     bits[cone.input_cols] = hard.T.take(idx, axis=1)  # the cone bits as checked
-    bits[free_cols] = free_bits.take(idx, axis=1)  # the don't-care bits as drawn
-    rows = bits.T
+    bits[free_cols] = chunk.free_bits.take(idx, axis=1)  # the don't-care bits as drawn
     # Each key's first row is the least row index among its repeats; sorted
     # here, the keys are looked up in the solution set as they come.
     keys = _pack_keys(bits[key_cols])
@@ -314,16 +322,12 @@ def _process_chunk(
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = keys[order[1:]] != keys[order[:-1]]
     first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    return rows, first, keys[first], float(loss.sum(dtype=np.float64)), int(ok.sum())
+    return Step(bits.T, first, keys[first], float(loss.sum(dtype=np.float64)), int(ok.sum()))
 
 
 def _own_chunks(config: SamplerConfig, cone: ConeProgram, free_cols: list[int],
-                starts: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw a worker's chunks, those that begin at rows `starts`.
-
-    Per chunk: its input-major cone rows U, its input-major don't-care bits
-    and, per row, whether it met the pins after the last step.
-    """
+                starts: range) -> list[Chunk]:
+    """Draw a worker's chunks, those that begin at rows `starts`."""
     n, k = len(cone.input_cols) + len(free_cols), len(cone.input_cols)
     chunks = []
     for lo in starts:
@@ -333,7 +337,7 @@ def _own_chunks(config: SamplerConfig, cone: ConeProgram, free_cols: list[int],
         # row is overwritten before it is read.  Only these rows are trained.
         for i, c in enumerate(cone.input_cols):
             VT[i] = VT[c]
-        chunks.append((VT[:k], free_bits, np.zeros(VT.shape[1], dtype=bool)))
+        chunks.append(Chunk(VT[:k], free_bits, np.zeros(VT.shape[1], dtype=bool)))
     return chunks
 
 
@@ -436,10 +440,10 @@ def run_sampling(
         """Worker w draws chunks w, w + workers, ... and steps them with its
         own workspace; yields each iteration's per-chunk results."""
         chunks = _own_chunks(config, cone, free_cols, starts[w::workers])
-        step = functools.partial(_process_chunk, cone, config.learning_rate, free_cols, key_cols,
-                                 Workspace(cone, min(config.batch_size, _CHUNK_ROWS)))
+        workspace = Workspace(cone, min(config.batch_size, _CHUNK_ROWS))
         for _ in range(config.iterations):
-            yield [step(*chunk) for chunk in chunks]
+            yield [_process_chunk(cone, config.learning_rate, free_cols, key_cols, workspace, chunk)
+                   for chunk in chunks]
 
     # Forked, not spawned: a child inherits the compiled cone, where a spawned
     # one would import NumPy and circsat afresh on every run.  The children
@@ -466,17 +470,13 @@ def run_sampling(
             for w, conn in enumerate(conns, 1):
                 results[w::workers] = _receive(conn)
             wait_ms = (time.perf_counter() - t1) * 1000.0 if conns else 0.0
-            new_unique, loss_sum, satisfied = 0, 0.0, 0
-            for rows, first, keys, chunk_loss, chunk_ok in results:  # chunk order => deterministic
-                loss_sum += chunk_loss
-                satisfied += chunk_ok
-                # The hardened rows the oracle checked, don't-cares included.
-                new_unique += result._add(keys, rows, first)
+            # Harvested and summed in chunk order, so the results are deterministic.
+            new_unique = sum(result._add(step) for step in results)
             result.stats.append(IterationStats(
                 iteration=it, new_unique=new_unique, cumulative_unique=len(result),
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                loss_mean=loss_sum / config.batch_size, satisfied_rows=satisfied,
-                wait_ms=wait_ms,
+                loss_mean=sum(step.loss_sum for step in results) / config.batch_size,
+                satisfied_rows=sum(step.satisfied_rows for step in results), wait_ms=wait_ms,
             ))
         finished = True
     finally:

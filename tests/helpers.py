@@ -25,7 +25,7 @@ from circsat import (
     parse_file,
 )
 from circsat.probsim import Workspace
-from circsat.sampler import _pack_keys
+from circsat.sampler import Step, _pack_keys
 
 DATA = Path(__file__).parent / "data"
 ISCAS_DIR = Path(os.environ.get("CIRCSAT_ISCAS_DIR", DATA / "iscas85"))
@@ -399,13 +399,13 @@ def solutions_by_key(result: SolutionSet) -> dict[bytes, np.ndarray]:
 def add_rows(result: SolutionSet, rows: np.ndarray) -> int:
     """Hand full rows with distinct keys to `result` as the sampler does; return how many were new.
 
-    The keys are `_pack_keys` keys of the dedup columns, handed over in
-    ascending order with the index of each key's row.
+    They go to `_add` as one `Step`, whose keys are the `_pack_keys` keys of
+    the dedup columns in ascending order, each with the index of its row.
     """
     key_cols = result.cone_cols if result.dedup_scope == "cone" else slice(None)
     keys = _pack_keys(rows[:, key_cols].T)
     first = np.argsort(keys)
-    return result._add(keys[first], rows, first)
+    return result._add(Step(rows, first, keys[first]))
 
 
 # ---------------------------------------------------------------------------

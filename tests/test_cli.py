@@ -1,6 +1,7 @@
 import ast
 import csv
 import errno
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -230,6 +231,30 @@ class TestSample:
         assert files[0] == files[1] == files[2]
         assert files[0].count(b"\n") > 2
 
+    # The sha256 of the solutions file, so that a change meant to keep the
+    # output keeps it byte for byte.  A change that alters the draw or the
+    # step on purpose updates these digests and says so.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("circuit, pins, flags, rows, digest", [
+        ("c17.bench", "23 1\n", ("--dedup", "all"), 14,
+         "a8b81b31b464b2fca03fe62b7719ad19a15bf1b0fe3a44cbee41a64952cfcaca"),
+        ("c15.blif", "G22 0\n", ("--emit-all-inputs",), 15,
+         "bc8beef925dbfe3c8612a15b21011c6b63d5b9d4d12b03990b4ee1745128ec02"),
+    ])
+    def test_solutions_file_bytes_are_pinned(self, tmp_path, monkeypatch, threads, circuit, pins,
+                                             flags, rows, digest):
+        # Chunks of 7 rows, on two cores at two threads.
+        monkeypatch.setattr(sampler, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        shutil.copy(DATA / circuit, tmp_path / circuit)
+        (tmp_path / "pins.txt").write_text(pins)
+        argv = sample_args(tmp_path, circuit, "pins.txt",
+                           **{"--batch": "300", "--iters": "6", "--seed": "71", "--threads": threads})
+        assert run(*argv, *flags) == 0
+        text = (tmp_path / "solutions.txt").read_bytes()
+        assert text.count(b"\n") - 1 == rows
+        assert hashlib.sha256(text).hexdigest() == digest
+
     def test_emit_all_inputs_header(self, c15):
         argv = sample_args(c15, "c15.v", "g19.txt", **{"--batch": "500", "--iters": "2"})
         assert run(*argv, "--emit-all-inputs") == 0
@@ -454,6 +479,24 @@ class TestVerify:
         assert verify(and_not, "and_not.bench", "z1.txt", "sol.txt") == 3
         assert "verification failed at line 6: row '11' gives {'z': 0}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["01\uff1101", "0\u00e9101", "01201", "0110"])
+    def test_a_bad_row_among_hundreds_names_its_own_line(self, c17, capsys, bad):
+        # Five characters but not five bytes, a digit other than 0 and 1, or a
+        # short row whose missing bit a long row later makes up in the bytes.
+        rng = np.random.default_rng(5)
+        lines = ["1,2,3,6,7", ""]
+        for k, row in enumerate(rng.integers(0, 2, size=(400, 5)).astype(str)):
+            if k % 50 == 0:
+                lines.append("")
+            if k == 321:
+                lines.append(bad)
+                line = len(lines)
+            lines.append("".join(row))
+        lines.append("0" * (10 - len(bad)) if len(bad) < 5 else "")
+        (c17 / "sol.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert verify(c17, "c17.bench", "pin2.txt", "sol.txt") == 2
+        assert capsys.readouterr().err == f"error: line {line}: expected 5 bits, got '{bad}'\n"
+
 
     @pytest.mark.parametrize(
         "pins,rows,code",
@@ -608,16 +651,33 @@ class TestBench:
         code = run("bench", "--manifest", str(c17 / "manifest.json"),
                    "--out-dir", str(out_dir))
         assert code == 0
-        csv_text = (out_dir / "bench.csv").read_text().splitlines()
-        assert csv_text[0].startswith("cell,circuit,batch,lr,seed,iteration")
-        assert len(csv_text) == 1 + 3 * 4  # three lr cells, four iterations each
+        with open(out_dir / "bench.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:9] == ["cell", "circuit", "lr", "seed", "batch", "iters",
+                                     "init_range", "dedup", "iteration"]
+        assert len(rows) == 3 * 4  # three lr cells, four iterations each
+        assert [r["lr"] for r in rows[::4]] == ["1", "5", "15"]
         # Cumulative series monotone per cell.
         for label in ("cell000", "cell001", "cell002"):
-            series = [
-                int(row.split(",")[7]) for row in csv_text[1:] if row.startswith(label)
-            ]
+            series = [int(r["cumulative_unique"]) for r in rows if r["cell"] == label]
             assert series == sorted(series)
         assert len(list(out_dir.glob("*.stats.json"))) == 3
+
+    def test_every_sampling_option_can_be_a_grid(self, c17):
+        manifest = {"cells": [{"circuit": "c17.bench", "constraints": "pin2.txt", "batch": 500,
+                               "iters": 2, "init_range": [1, 3], "dedup": ["cone", "all"]}]}
+        (c17 / "manifest.json").write_text(json.dumps(manifest))
+        assert run("bench", "--manifest", str(c17 / "manifest.json"),
+                   "--out-dir", str(c17 / "out")) == 0
+        configs = [json.loads((c17 / "out" / f"cell00{i}.stats.json").read_text())["config"]
+                   for i in range(4)]
+        assert not (c17 / "out" / "cell004.stats.json").exists()
+        assert [(c["init_range"], c["dedup"]) for c in configs] == [
+            (1.0, "cone"), (1.0, "all"), (3.0, "cone"), (3.0, "all")]
+        with open(c17 / "out" / "bench.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["iters"], r["init_range"], r["dedup"]) for r in rows[::2]] == [
+            ("2", "1", "cone"), ("2", "1", "all"), ("2", "3", "cone"), ("2", "3", "all")]
 
     def test_single_cell_matches_cmd_sample(self, c17):
         manifest = {

@@ -607,10 +607,10 @@ class TestRunSampling:
         seen = []
         real = sampler._process_chunk
 
-        def spy(cone, lr, cols, key_cols, pair, U, free_bits, met):
+        def spy(cone, lr, cols, key_cols, workspace, chunk):
             assert cols == free_cols
-            seen.append(free_bits.copy())
-            return real(cone, lr, cols, key_cols, pair, U, free_bits, met)
+            seen.append(chunk.free_bits.copy())
+            return real(cone, lr, cols, key_cols, workspace, chunk)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampler, "_process_chunk", spy)
@@ -977,9 +977,9 @@ class TestHarvestOnlyChangedRows:
         real = sampler._process_chunk
 
         def spy(*args):
-            rows, *rest = real(*args)
-            log.record(len(rows))
-            return rows, *rest
+            step = real(*args)
+            log.record(len(step.rows))
+            return step
 
         monkeypatch.setattr(sampler, "_process_chunk", spy)
         c = load("c17.bench")
@@ -1029,13 +1029,14 @@ class TestHarvestOnlyChangedRows:
         drawn = free_bits.copy()
         met = np.full(b, met_before)
         workspace = sampler.Workspace(cone, b, np.float64)
-        rows, first, keys, _, satisfied = sampler._process_chunk(
-            cone, 2.0, free_cols, cone.input_cols, workspace, U, free_bits, met)
+        step = sampler._process_chunk(
+            cone, 2.0, free_cols, cone.input_cols, workspace, sampler.Chunk(U, free_bits, met))
+        rows, first, keys = step.rows, step.first, step.keys
         want = list(cone.pins.values())
         hard = harden(U.T)
         ok = np.all(cone.circuit.eval_batch(hard, nets=list(cone.pins)) == want, axis=1)
         assert 0 < ok.sum() < b
-        assert np.array_equal(met, ok) and satisfied == ok.sum()
+        assert np.array_equal(met, ok) and step.satisfied_rows == ok.sum()
         changed = np.any((U >= 0) != before, axis=0)
         new = ok & (changed | (not met_before))
         assert len(rows) == new.sum()
